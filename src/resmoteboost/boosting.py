@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset, NEGATIVE, POSITIVE, RandomSource, partition_by_class
 from .entropy import fit_gnb, log_joint
-from .pruning import PruningConfig, double_pruning, smote_interpolate
+from .pruning import PruningConfig, pruning_step, smote_interpolate
 
 _ALPHA_EPS = 1e-10  # clamp for zero training error
 
@@ -264,67 +264,45 @@ class BoostedEnsemble:
             return cls.from_json(json.load(fh))
 
 
-def _rebalance(state, cfg: BoostConfig, rng: RandomSource, audit: dict):
+def _rebalance(train: Dataset, maj_idx, min_idx, syn_X, cfg: BoostConfig,
+               rng: RandomSource, audit: dict):
     """Apply the configured per-iteration rebalancing to the carried pools.
 
-    `state` holds maj_idx / min_idx (indices into the original train set) and
-    syn_X (accumulated synthetic minority points).
+    The pools are maj_idx / min_idx (indices into the original train set) and
+    syn_X (accumulated synthetic minority points). Returns the new
+    (maj_idx, syn_X); min_idx never changes.
     """
-    train = state["train"]
     if cfg.rebalancer == "none":
-        return
-    maj = train.subset(state["maj_idx"])
-    min_orig = train.subset(state["min_idx"])
-    if len(state["syn_X"]):
-        syn = Dataset(np.array(state["syn_X"]), np.full(len(state["syn_X"]), POSITIVE),
-                      feature_names=train.feature_names)
-        minority = min_orig.concat(syn)
-    else:
-        minority = min_orig
+        return maj_idx, syn_X
+    if cfg.rebalancer == "random_under":
+        n_remove = min(cfg.k, len(maj_idx) - 1)
+        if n_remove >= 1:
+            order = rng.permutation(len(maj_idx))
+            maj_idx = maj_idx[np.sort(order[n_remove:])]
+            audit["removed"] = int(n_remove)
+        return maj_idx, syn_X
 
-    if cfg.rebalancer == "double_pruning":
-        k_eff = min(cfg.k, len(maj) - 1)
-        if k_eff >= 1 and len(minority) >= 2:
-            pcfg = cfg.pruning
-            if pcfg.k != k_eff:
-                pcfg = PruningConfig(k=k_eff, k_neighbors=pcfg.k_neighbors,
-                                     candidate_multiplier=pcfg.candidate_multiplier,
-                                     spin_cap=pcfg.spin_cap, epsilon=pcfg.epsilon)
-            stats = {}
-            new_maj, new_min = double_pruning(maj, minority, pcfg, rng, stats=stats)
-            audit.update(stats)
-            # majority pruning kept a subset of rows, in order; map back to indices
-            state["maj_idx"] = _match_kept(maj, new_maj, state["maj_idx"])
-            n_new = len(new_min) - len(minority)
-            if n_new > 0:
-                state["syn_X"].extend(list(new_min.X[len(minority):]))
-    elif cfg.rebalancer == "smote":
-        if len(minority) >= 2 and cfg.k >= 1:
+    minority = Dataset(np.vstack([train.X[min_idx], syn_X]),
+                       np.full(len(min_idx) + len(syn_X), POSITIVE))
+    if len(minority) < 2:
+        return maj_idx, syn_X
+    if cfg.rebalancer == "smote":
+        if cfg.k >= 1:
             k_nb = cfg.pruning.k_neighbors if cfg.pruning else 5
+            new = []
             for _ in range(cfg.k):
                 i = int(rng.integers(0, len(minority)))
-                s = smote_interpolate(minority.X[i], minority, i, k_nb, rng)
-                state["syn_X"].append(s.x)
+                new.append(smote_interpolate(minority.X[i], minority, i, k_nb, rng).x)
+            syn_X = np.vstack([syn_X] + new)
             audit["added"] = cfg.k
-    elif cfg.rebalancer == "random_under":
-        n_remove = min(cfg.k, len(state["maj_idx"]) - 1)
-        if n_remove >= 1:
-            order = rng.permutation(len(state["maj_idx"]))
-            keep = np.sort(order[n_remove:])
-            state["maj_idx"] = state["maj_idx"][keep]
-            audit["removed"] = int(n_remove)
-
-
-def _match_kept(before: Dataset, after: Dataset, idx: np.ndarray) -> np.ndarray:
-    """Majority pruning preserves order, so the kept rows can be matched by a
-    forward scan of coordinates."""
-    kept = []
-    j = 0
-    for i in range(len(before)):
-        if j < len(after) and np.array_equal(before.X[i], after.X[j]):
-            kept.append(idx[i])
-            j += 1
-    return np.asarray(kept, dtype=int)
+    else:  # double_pruning
+        k_eff = min(cfg.k, len(maj_idx) - 1)
+        if k_eff >= 1:
+            keep, retained = pruning_step(train.subset(maj_idx), minority,
+                                          replace(cfg.pruning, k=k_eff), rng, stats=audit)
+            maj_idx = maj_idx[keep]
+            syn_X = np.vstack([syn_X] + [c.x for c in retained])
+    return maj_idx, syn_X
 
 
 def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSource,
@@ -338,41 +316,30 @@ def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSo
     When `capture` is a dict it receives the final balanced pool ("X", "y")
     and the provenance records of every retained synthetic ("synthetics").
     """
-    part = partition_by_class(train)  # validates both classes present
-    del part
+    partition_by_class(train)  # validates both classes present
     N = len(train)
     w = np.full(N, 1.0 / N)
-    state = {
-        "train": train,
-        "maj_idx": np.flatnonzero(train.y == NEGATIVE),
-        "min_idx": np.flatnonzero(train.y == POSITIVE),
-        "syn_X": [],
-    }
+    min_idx = np.flatnonzero(train.y == POSITIVE)
+    fresh = (np.flatnonzero(train.y == NEGATIVE), np.empty((0, train.dimension)))
+    maj_idx, syn_X = fresh
 
     learners, alphas, log = [], [], []
     for t in range(cfg.t_max):
         audit = {}
         if cfg.fresh_pools:
-            state["maj_idx"] = np.flatnonzero(train.y == NEGATIVE)
-            state["min_idx"] = np.flatnonzero(train.y == POSITIVE)
-            state["syn_X"] = []
-        _rebalance(state, cfg, rng, audit)
+            maj_idx, syn_X = fresh
+        maj_idx, syn_X = _rebalance(train, maj_idx, min_idx, syn_X, cfg, rng, audit)
 
-        orig_idx = np.concatenate([state["maj_idx"], state["min_idx"]])
-        X_fit = train.X[orig_idx]
-        y_fit = train.y[orig_idx]
-        w_fit = w[orig_idx]
-        n_syn = len(state["syn_X"])
-        if n_syn:
-            X_fit = np.vstack([X_fit, np.array(state["syn_X"])])
-            y_fit = np.concatenate([y_fit, np.full(n_syn, POSITIVE)])
-            w_fit = np.concatenate([w_fit, np.full(n_syn, 1.0 / N)])
+        orig_idx = np.concatenate([maj_idx, min_idx])
+        n_syn = len(syn_X)
+        X_fit = np.vstack([train.X[orig_idx], syn_X])
+        y_fit = np.concatenate([train.y[orig_idx], np.full(n_syn, POSITIVE)])
 
         learner = None
         for attempt in range(2):
+            w_fit = np.concatenate([w[orig_idx], np.full(n_syn, 1.0 / N)])
             candidate = learner_factory()
-            w_fit_n = w_fit / w_fit.sum()
-            candidate.fit(X_fit, y_fit, w_fit_n)
+            candidate.fit(X_fit, y_fit, w_fit / w_fit.sum())
             pred = candidate.predict(train.X)
             err = float(w[pred != train.y].sum())
             if err < 0.5:
@@ -380,8 +347,6 @@ def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSo
                 break
             # discard the learner, reset weights to uniform, retry this round once
             w = np.full(N, 1.0 / N)
-            w_fit = np.concatenate([w[orig_idx], np.full(n_syn, 1.0 / N)]) if n_syn \
-                else w[orig_idx]
         if learner is None:
             break  # two consecutive failed attempts: stop with the ensemble so far
         err_c = max(err, _ALPHA_EPS)
@@ -397,8 +362,8 @@ def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSo
             "error": err,
             "alpha": alpha,
             "weight_sum": float(w.sum()),
-            "n_majority": int(len(state["maj_idx"])),
-            "n_minority": int(len(state["min_idx"]) + n_syn),
+            "n_majority": int(len(maj_idx)),
+            "n_minority": int(len(min_idx) + n_syn),
             "n_synthetic": int(n_syn),
             "rebalance": {k: v for k, v in audit.items() if k != "synthetics"},
         })
@@ -410,8 +375,3 @@ def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSo
     if not learners:
         raise RuntimeError("boosting failed: no base learner achieved error < 0.5")
     return BoostedEnsemble(learners=learners, alphas=alphas, training_log=log)
-
-
-def carried_pools(ensemble: BoostedEnsemble):
-    """Final per-iteration class sizes from the training log (audit helper)."""
-    return [(e["n_majority"], e["n_minority"]) for e in ensemble.training_log]

@@ -8,15 +8,13 @@ are aggregated across replications with mean and sample standard deviation.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boosting import BoostConfig, fit_boosted, heuristic_tmax, make_learner_factory
-from .data import (Dataset, RandomSource, SplitSpec, mix_seed,
+from .data import (Dataset, NEGATIVE, POSITIVE, RandomSource, SplitSpec, mix_seed,
                    partition_by_class, split_indices)
 from .metrics import binary_metrics, confusion, replication_stats, roc_auc
 from .pruning import PruningConfig
@@ -132,18 +130,35 @@ def train_and_score(train: Dataset, test: Dataset, cfg: ExperimentConfig,
         "train_size_after_resampling": len(resampled)}
 
 
+def _fold_indices(data: Dataset, folds: int, seed: int, fold: int):
+    """Sorted (train_indices, test_indices) of one fold of the stratified
+    k-fold split that RandomSource(seed) draws: each class is shuffled and
+    dealt round-robin into the folds."""
+    rng = RandomSource(seed)
+    fold_of = np.empty(len(data), dtype=int)
+    for cls in (NEGATIVE, POSITIVE):
+        idx = np.flatnonzero(data.y == cls)
+        fold_of[idx[rng.permutation(len(idx))]] = np.arange(len(idx)) % folds
+    return np.flatnonzero(fold_of != fold), np.flatnonzero(fold_of == fold)
+
+
 def run_replication(data: Dataset, cfg: ExperimentConfig, index: int,
                     capture: dict | None = None):
     """One replication: derived seed, split, resample/train, evaluate.
 
-    Test indices are recorded before any resampling runs, so the audit trail
-    shows the test split was never touched by a resampler.
+    The split is a fresh random split, or fold `index` of the k-fold split
+    when cfg.cv_folds is set. Test indices are recorded before any resampling
+    runs, so the audit trail shows the test split was never touched by a
+    resampler.
     """
     seed_i = mix_seed(cfg.seed, index)
     rng = RandomSource(seed_i)
-    spec = SplitSpec(train_fraction=1.0 - cfg.test_fraction,
-                     stratified=cfg.stratified, seed=seed_i)
-    train_idx, test_idx = split_indices(data, spec, rng)
+    if cfg.cv_folds:
+        train_idx, test_idx = _fold_indices(data, cfg.cv_folds, cfg.seed, index)
+    else:
+        spec = SplitSpec(train_fraction=1.0 - cfg.test_fraction,
+                         stratified=cfg.stratified, seed=seed_i)
+        train_idx, test_idx = split_indices(data, spec, rng)
     train, test = data.subset(train_idx), data.subset(test_idx)
     pred, scores, info = train_and_score(train, test, cfg, rng, capture=capture)
     report = binary_metrics(confusion(pred, test.y))
@@ -152,61 +167,25 @@ def run_replication(data: Dataset, cfg: ExperimentConfig, index: int,
             "model": info, "test_indices": [int(i) for i in test_idx]}
 
 
-def _cv_split_pairs(data: Dataset, folds: int, rng: RandomSource):
-    """Stratified k-fold index pairs (train, test), in fold order."""
-    pairs = []
-    fold_of = np.empty(len(data), dtype=int)
-    for cls in (-1, 1):
-        idx = np.flatnonzero(data.y == cls)
-        idx = idx[rng.permutation(len(idx))]
-        for pos, i in enumerate(idx):
-            fold_of[i] = pos % folds
-    for f in range(folds):
-        test_idx = np.flatnonzero(fold_of == f)
-        train_idx = np.flatnonzero(fold_of != f)
-        pairs.append((data.subset(train_idx), data.subset(test_idx)))
-    return pairs
+def _summary(values, key: str) -> dict:
+    if len(values) >= 2:
+        return replication_stats(values, key).to_json()
+    return {"metric": key, "mean": values[0], "std_dev": None, "n": 1}
 
 
 def run_experiment(data: Dataset, cfg: ExperimentConfig) -> dict:
     """Full replicated run; returns the report as a JSON-ready dict."""
     t0 = time.perf_counter()
-    if cfg.cv_folds:
-        rng = RandomSource(cfg.seed)
-        pairs = _cv_split_pairs(data, cfg.cv_folds, rng)
-        replications = []
-        for i, (train, test) in enumerate(pairs):
-            rep_rng = RandomSource(mix_seed(cfg.seed, i))
-            pred, scores, info = train_and_score(train, test, cfg, rep_rng)
-            report = binary_metrics(confusion(pred, test.y))
-            report.auc = roc_auc(scores, test.y)
-            replications.append({"replication": i, "seed": cfg.seed,
-                                 "metrics": report.to_json(), "model": info})
-    else:
-        workers = int(os.environ.get("REBALANCE_THREADS", "1"))
-        indices = range(cfg.replications)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                replications = list(pool.map(
-                    lambda i: run_replication(data, cfg, i), indices))
-        else:
-            replications = [run_replication(data, cfg, i) for i in indices]
+    replications = [run_replication(data, cfg, i)
+                    for i in range(cfg.cv_folds or cfg.replications)]
     elapsed = time.perf_counter() - t0
 
     summaries = {}
     for variant in ("positive_class", "macro"):
         for name in ("accuracy", "precision", "recall", "f1", "g_means"):
-            values = [r["metrics"][variant][name] for r in replications]
             key = f"{variant}.{name}"
-            if len(values) >= 2:
-                summaries[key] = replication_stats(values, key).to_json()
-            else:
-                summaries[key] = {"metric": key, "mean": values[0], "std_dev": None, "n": 1}
-    auc_values = [r["metrics"]["auc"] for r in replications]
-    if len(auc_values) >= 2:
-        summaries["auc"] = replication_stats(auc_values, "auc").to_json()
-    else:
-        summaries["auc"] = {"metric": "auc", "mean": auc_values[0], "std_dev": None, "n": 1}
+            summaries[key] = _summary([r["metrics"][variant][name] for r in replications], key)
+    summaries["auc"] = _summary([r["metrics"]["auc"] for r in replications], "auc")
 
     return {
         "config": cfg.to_json(),

@@ -90,6 +90,14 @@ class SyntheticSample:
         }
 
 
+def _entropy_keep(model, majority: Dataset, k: int) -> np.ndarray:
+    """Sorted positions of the majority rows left after removing the k
+    lowest-entropy rows; ties remove the lower position first."""
+    ent = entropy_batch(posterior_batch(model, majority.X))
+    order = np.argsort(ent, kind="stable")          # ascending; stable => lower index first
+    return np.sort(order[k:])
+
+
 def majority_class_pruning(majority: Dataset, pool: Dataset, k: int) -> Dataset:
     """Remove the k lowest-entropy majority samples.
 
@@ -100,11 +108,7 @@ def majority_class_pruning(majority: Dataset, pool: Dataset, k: int) -> Dataset:
         raise ValueError(f"k={k} must be smaller than the majority size {len(majority)}")
     if k == 0:
         return majority
-    model = fit_gnb(pool)
-    ent = entropy_batch(posterior_batch(model, majority.X))
-    order = np.argsort(ent, kind="stable")          # ascending; stable => lower index first
-    keep = np.sort(order[k:])
-    return majority.subset(keep)
+    return majority.subset(_entropy_keep(fit_gnb(pool), majority, k))
 
 
 def build_roulette(minority: Dataset, majority: Dataset, epsilon: float = 1e-12) -> RouletteWheel:
@@ -169,6 +173,16 @@ def regularization_accept(candidate: SyntheticSample, majority: Dataset) -> bool
     return candidate.dist_min <= candidate.dist_maj
 
 
+def _entropy_filter(model, candidates, k: int):
+    """The min(k, n) highest-entropy candidates under `model`, each carrying
+    its entropy, in descending entropy order; ties keep the lower index first."""
+    ent = entropy_batch(posterior_batch(model, np.vstack([c.x for c in candidates])))
+    for c, h in zip(candidates, ent):
+        c.entropy = float(h)
+    order = np.argsort(-ent, kind="stable")[: min(k, len(candidates))]
+    return [candidates[i] for i in order]
+
+
 def noise_filter(candidates, pool: Dataset, k: int):
     """Keep the min(k, n) highest-entropy candidates under a model fit on pool.
 
@@ -177,13 +191,39 @@ def noise_filter(candidates, pool: Dataset, k: int):
     """
     if len(candidates) == 0:
         raise ValueError("no candidates to filter")
-    model = fit_gnb(pool)
-    X = np.vstack([c.x for c in candidates])
-    ent = entropy_batch(posterior_batch(model, X))
-    for c, h in zip(candidates, ent):
-        c.entropy = float(h)
-    order = np.argsort(-ent, kind="stable")[: min(k, len(candidates))]
-    return [candidates[i] for i in order]
+    return _entropy_filter(fit_gnb(pool), candidates, k)
+
+
+def _oversample(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
+                rng: RandomSource, stats: dict | None):
+    """The synthetics minority_class_pruning adds, noise-filtered under `model`."""
+    wheel = build_roulette(minority, majority, cfg.epsilon)
+    target = math.ceil(cfg.candidate_multiplier * cfg.k)
+    accepted = []
+    spins = 0
+    while len(accepted) < target and spins < cfg.effective_spin_cap:
+        seed_index = int(spin(wheel, 1, rng)[0])
+        spins += 1
+        candidate = smote_interpolate(minority.X[seed_index], minority, seed_index,
+                                      cfg.k_neighbors, rng)
+        if regularization_accept(candidate, majority):
+            accepted.append(candidate)
+    retained = _entropy_filter(model, accepted, cfg.k) if accepted else []
+    if stats is not None:
+        stats.update(spins=spins, accepted=len(accepted), retained=len(retained))
+        if retained:
+            stats["synthetics"] = [c.to_json() for c in retained]
+    return retained
+
+
+def _with_synthetics(minority: Dataset, retained) -> Dataset:
+    if not retained:
+        return minority
+    syn = Dataset(np.vstack([c.x for c in retained]),
+                  np.full(len(retained), POSITIVE),
+                  feature_names=minority.feature_names,
+                  source_tag=minority.source_tag)
+    return minority.concat(syn)
 
 
 def minority_class_pruning(majority: Dataset, minority: Dataset, cfg: PruningConfig,
@@ -199,38 +239,27 @@ def minority_class_pruning(majority: Dataset, minority: Dataset, cfg: PruningCon
         raise ValueError("need at least 2 minority samples")
     if len(majority) == 0:
         raise ValueError("majority must be non-empty")
-    if cfg.k == 0:
-        if stats is not None:
-            stats.update(spins=0, accepted=0, retained=0)
-        return minority
+    model = fit_gnb(majority.concat(minority))
+    return _with_synthetics(minority, _oversample(majority, minority, cfg, model, rng, stats))
 
-    wheel = build_roulette(minority, majority, cfg.epsilon)
-    target = math.ceil(cfg.candidate_multiplier * cfg.k)
-    accepted = []
-    spins = 0
-    while len(accepted) < target and spins < cfg.effective_spin_cap:
-        seed_index = int(spin(wheel, 1, rng)[0])
-        spins += 1
-        candidate = smote_interpolate(minority.X[seed_index], minority, seed_index,
-                                      cfg.k_neighbors, rng)
-        if regularization_accept(candidate, majority):
-            accepted.append(candidate)
 
-    if not accepted:
-        if stats is not None:
-            stats.update(spins=spins, accepted=0, retained=0)
-        return minority
+def pruning_step(majority: Dataset, minority: Dataset, cfg: PruningConfig,
+                 rng: RandomSource, stats: dict | None = None):
+    """One double-pruning step. A single naive Bayes model, fit on
+    majority ∪ minority, scores both the majority rows and the candidates.
 
-    pool = majority.concat(minority)
-    retained = noise_filter(accepted, pool, cfg.k)
-    if stats is not None:
-        stats.update(spins=spins, accepted=len(accepted), retained=len(retained))
-        stats["synthetics"] = [c.to_json() for c in retained]
-    syn = Dataset(np.vstack([c.x for c in retained]),
-                  np.full(len(retained), POSITIVE),
-                  feature_names=minority.feature_names,
-                  source_tag=minority.source_tag)
-    return minority.concat(syn)
+    Returns (keep, retained): the sorted positions of the majority rows kept
+    (all but the cfg.k lowest-entropy ones) and the retained synthetics
+    (at most cfg.k, in descending entropy order). With k = 0 the candidate
+    target is 0, so nothing is removed or added.
+    """
+    if cfg.k >= len(majority):
+        raise ValueError(f"k={cfg.k} must be smaller than the majority size {len(majority)}")
+    if len(minority) < 2:
+        raise ValueError("need at least 2 minority samples")
+    model = fit_gnb(majority.concat(minority))
+    keep = _entropy_keep(model, majority, cfg.k)
+    return keep, _oversample(majority, minority, cfg, model, rng, stats)
 
 
 def double_pruning(majority: Dataset, minority: Dataset, cfg: PruningConfig,
@@ -239,7 +268,5 @@ def double_pruning(majority: Dataset, minority: Dataset, cfg: PruningConfig,
 
     Returns (new_majority, new_minority); inputs are never mutated.
     """
-    pool = majority.concat(minority)
-    new_majority = majority_class_pruning(majority, pool, cfg.k)
-    new_minority = minority_class_pruning(majority, minority, cfg, rng, stats=stats)
-    return new_majority, new_minority
+    keep, retained = pruning_step(majority, minority, cfg, rng, stats=stats)
+    return majority.subset(keep), _with_synthetics(minority, retained)

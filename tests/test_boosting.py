@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resmoteboost import (
     BoostConfig,
@@ -147,6 +148,27 @@ class TestFitBoosted:
         last = ens.training_log[-1]
         gap = last["n_majority"] - last["n_minority"]
         assert -2 * k < gap < 2 * k
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_maj=st.integers(6, 40), n_min=st.integers(2, 6), k=st.integers(1, 5),
+           seed=st.integers(0, 2**32))
+    def test_all_duplicate_majority_keeps_balance_law(self, n_maj, n_min, k, seed):
+        # one majority row repeated; a far minority cloud, so every candidate
+        # is accepted and each round moves both pools by k_eff = min(k, |maj| - 1)
+        rng = RandomSource(seed)
+        X = np.vstack([np.zeros((n_maj, 2)), 10.0 + rng.normal(size=(n_min, 2))])
+        y = np.concatenate([np.full(n_maj, NEGATIVE), np.full(n_min, POSITIVE)])
+        cfg = BoostConfig(t_max=heuristic_tmax(n_maj, n_min, k), k=k,
+                          rebalancer="double_pruning")
+        ens = fit_boosted(Dataset(X, y), cfg, DecisionStump, rng)
+        n_majority, n_minority = n_maj, n_min
+        for entry in ens.training_log:
+            k_eff = min(k, n_majority - 1)
+            assert entry["rebalance"]["retained"] == k_eff
+            assert entry["n_majority"] == n_majority - k_eff
+            assert entry["n_minority"] == n_minority + k_eff
+            n_majority, n_minority = entry["n_majority"], entry["n_minority"]
+        assert len(ens.training_log) == cfg.t_max
 
     def test_misclassified_weights_increase(self):
         data = make_gaussian_blobs(50, 20, 2, 1.0, 9)

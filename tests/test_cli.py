@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from resmoteboost import load_csv, mix_seed
 from resmoteboost.cli import main
 
 
@@ -89,14 +90,31 @@ class TestRun:
         for entry in sidecar["synthetics"]:
             assert 0.0 <= entry["alpha"] <= 1.0
 
-    def test_cv_mode(self, blob_csv, tmp_path):
+    def run_cv(self, blob_csv, tmp_path, *extra):
         out = tmp_path / "cv.json"
         code = run_cli(["run", "--data", str(blob_csv), "--method", "smote",
                         "--cv", "4", "--t-max", "2", "--k", "4",
-                        "--seed", "1", "--out", str(out)])
+                        "--seed", "1", "--out", str(out), *extra])
         assert code == 0
-        report = json.loads(out.read_text())
+        return json.loads(out.read_text())
+
+    def test_cv_mode(self, blob_csv, tmp_path):
+        report = self.run_cv(blob_csv, tmp_path)
         assert len(report["replications"]) == 4
+        folds = [rep["test_indices"] for rep in report["replications"]]
+        assert sorted(i for fold in folds for i in fold) == list(range(80))
+        assert [rep["seed"] for rep in report["replications"]] == [mix_seed(1, i)
+                                                                   for i in range(4)]
+
+    def test_cv_dump_resampled_is_fold_zero(self, blob_csv, tmp_path):
+        dump = tmp_path / "resampled.csv"
+        report = self.run_cv(blob_csv, tmp_path, "--dump-resampled", str(dump))
+        fold0 = report["replications"][0]
+        data = load_csv(blob_csv, "label", "pos")
+        held_out = {tuple(row) for row in data.X[fold0["test_indices"]]}
+        dumped = load_csv(dump, "label", "pos")
+        assert len(dumped) == fold0["model"]["train_size_after_resampling"]
+        assert held_out.isdisjoint(tuple(row) for row in dumped.X)
 
     def test_missing_file_errors(self, tmp_path, capsys):
         code = run_cli(["run", "--data", str(tmp_path / "nope.csv"),

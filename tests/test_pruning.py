@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resmoteboost import (
     Dataset,
@@ -20,7 +21,7 @@ from resmoteboost import (
     spin,
 )
 from resmoteboost.entropy import entropy_batch, posterior_batch
-from resmoteboost.pruning import SyntheticSample
+from resmoteboost.pruning import SyntheticSample, pruning_step
 
 
 def blob_partition(n_maj=40, n_min=15, sep=2.0, seed=0):
@@ -300,3 +301,32 @@ class TestDoublePruning:
             gap_before = len(maj) - len(mino)
             maj, mino = double_pruning(maj, mino, PruningConfig(k=k), rng)
             assert (len(maj) - len(mino)) == gap_before - 2 * k
+
+
+@st.composite
+def duplicated_majority(draw):
+    """Pools whose majority repeats at most 4 distinct rows 5 to 24 times, so
+    it always holds duplicate rows, plus a pruning size k."""
+    d = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3).map(float), min_size=d, max_size=d)
+    distinct = draw(st.lists(row, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=5, max_size=24))
+    minority = draw(st.lists(row, min_size=2, max_size=8))
+    majority = Dataset([distinct[i] for i in picks], np.full(len(picks), NEGATIVE))
+    minority = Dataset(minority, np.full(len(minority), POSITIVE))
+    return majority, minority, draw(st.integers(1, len(picks) - 1))
+
+
+class TestDuplicateRows:
+    @settings(max_examples=60, deadline=None)
+    @given(pools=duplicated_majority(), seed=st.integers(0, 2**32))
+    def test_kept_positions_under_duplicates(self, pools, seed):
+        majority, minority, k = pools
+        cfg = PruningConfig(k=k)
+        keep, _ = pruning_step(majority, minority, cfg, RandomSource(seed))
+        # the removed rows are the k smallest by (entropy, position)
+        ent = entropy_batch(posterior_batch(fit_gnb(majority.concat(minority)), majority.X))
+        removed = np.lexsort((np.arange(len(majority)), ent))[:k]
+        np.testing.assert_array_equal(keep, np.setdiff1d(np.arange(len(majority)), removed))
+        new_majority, _ = double_pruning(majority, minority, cfg, RandomSource(seed))
+        np.testing.assert_array_equal(new_majority.X, majority.subset(keep).X)
