@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, NEGATIVE, POSITIVE, RandomSource, partition_by_class
 from .entropy import fit_gnb, log_joint
-from .pruning import PruningConfig, pruning_step, smote_interpolate
+from .pruning import PruningConfig, nearest_rows, pruning_step, smote_points
 
 _ALPHA_EPS = 1e-10  # clamp for zero training error
 
@@ -168,14 +168,8 @@ class KNNLearner:
         return self
 
     def score(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        k = min(self.n_neighbors, len(self._X))
-        out = np.empty(len(X))
-        for i, x in enumerate(X):
-            d = np.linalg.norm(self._X - x, axis=1)
-            nn = np.argsort(d, kind="stable")[:k]
-            out[i] = float((self._w[nn] * self._y[nn]).sum())
-        return out
+        nn = nearest_rows(self._X, X, self.n_neighbors)
+        return (self._w[nn] * self._y[nn]).sum(axis=1)
 
     def predict(self, X):
         return np.where(self.score(X) > 0, POSITIVE, NEGATIVE)
@@ -289,11 +283,12 @@ def _rebalance(train: Dataset, maj_idx, min_idx, syn_X, cfg: BoostConfig,
     if cfg.rebalancer == "smote":
         if cfg.k >= 1:
             k_nb = cfg.pruning.k_neighbors if cfg.pruning else 5
-            new = []
-            for _ in range(cfg.k):
-                i = int(rng.integers(0, len(minority)))
-                new.append(smote_interpolate(minority.X[i], minority, i, k_nb, rng).x)
-            syn_X = np.vstack([syn_X] + new)
+            n_slots = min(k_nb, len(minority) - 1)
+            # per synthetic: seed, then smote_interpolate's slot and alpha
+            seeds, slots, alphas = zip(*[(int(rng.integers(0, len(minority))),
+                                          int(rng.integers(0, n_slots)), float(rng.uniform()))
+                                         for _ in range(cfg.k)])
+            syn_X = np.vstack([syn_X, smote_points(minority.X, seeds, slots, alphas)[0]])
             audit["added"] = cfg.k
     else:  # double_pruning
         k_eff = min(cfg.k, len(maj_idx) - 1)

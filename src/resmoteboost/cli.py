@@ -117,7 +117,7 @@ def cmd_run(args) -> int:
             row = [rep["replication"]]
             row += [repr(m["positive_class"][name]) for name in metric_names]
             row += [repr(m["macro"][name]) for name in metric_names]
-            row += [repr(m["auc"])]
+            row += [repr(m["auc"]) if "auc" in m else ""]
             writer.writerow(row)
 
     if args.dump_resampled:

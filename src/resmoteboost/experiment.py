@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.cv_folds is not None and self.cv_folds < 2:
+            raise ValueError(f"cv_folds must be None or >= 2, got {self.cv_folds}")
 
     def to_json(self) -> dict:
         return {
@@ -162,19 +164,29 @@ def run_replication(data: Dataset, cfg: ExperimentConfig, index: int,
     train, test = data.subset(train_idx), data.subset(test_idx)
     pred, scores, info = train_and_score(train, test, cfg, rng, capture=capture)
     report = binary_metrics(confusion(pred, test.y))
-    report.auc = roc_auc(scores, test.y)
+    if test.n_positive and test.n_negative:
+        report.auc = roc_auc(scores, test.y)
+    else:
+        report.undefined.append("auc")   # a one-class test split ranks nothing
     return {"replication": index, "seed": seed_i, "metrics": report.to_json(),
             "model": info, "test_indices": [int(i) for i in test_idx]}
 
 
 def _summary(values, key: str) -> dict:
+    """Mean, sample standard deviation and n over the defined (not None) values."""
+    values = [v for v in values if v is not None]
     if len(values) >= 2:
         return replication_stats(values, key).to_json()
-    return {"metric": key, "mean": values[0], "std_dev": None, "n": 1}
+    return {"metric": key, "mean": values[0] if values else None, "std_dev": None,
+            "n": len(values)}
 
 
 def run_experiment(data: Dataset, cfg: ExperimentConfig) -> dict:
     """Full replicated run; returns the report as a JSON-ready dict."""
+    if cfg.cv_folds and cfg.cv_folds > min(data.n_positive, data.n_negative):
+        raise ValueError(f"cv_folds={cfg.cv_folds} exceeds the smaller class count "
+                         f"{min(data.n_positive, data.n_negative)}: some fold would test "
+                         f"on one class")
     t0 = time.perf_counter()
     replications = [run_replication(data, cfg, i)
                     for i in range(cfg.cv_folds or cfg.replications)]
@@ -185,7 +197,7 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig) -> dict:
         for name in ("accuracy", "precision", "recall", "f1", "g_means"):
             key = f"{variant}.{name}"
             summaries[key] = _summary([r["metrics"][variant][name] for r in replications], key)
-    summaries["auc"] = _summary([r["metrics"]["auc"] for r in replications], "auc")
+    summaries["auc"] = _summary([r["metrics"].get("auc") for r in replications], "auc")
 
     return {
         "config": cfg.to_json(),

@@ -26,6 +26,8 @@ from scipy.spatial.distance import cdist
 from .data import Dataset, POSITIVE, RandomSource
 from .entropy import entropy_batch, fit_gnb, posterior_batch
 
+_BLOCK = 1 << 14   # distance-matrix entries computed at a time
+
 
 @dataclass(frozen=True)
 class PruningConfig:
@@ -120,7 +122,10 @@ def build_roulette(minority: Dataset, majority: Dataset, epsilon: float = 1e-12)
     """
     if len(minority) == 0 or len(majority) == 0:
         raise ValueError("both classes must be non-empty")
-    M = cdist(minority.X, majority.X, metric="cityblock").sum(axis=1)
+    rows = max(1, _BLOCK // len(majority))
+    M = np.concatenate([
+        cdist(minority.X[lo:lo + rows], majority.X, metric="cityblock").sum(axis=1)
+        for lo in range(0, len(minority), rows)])
     fitness = 1.0 / np.maximum(M, epsilon)
     probabilities = fitness / fitness.sum()
     cumulative = np.cumsum(probabilities)
@@ -143,6 +148,75 @@ def spin(wheel: RouletteWheel, n_draws: int, rng: RandomSource) -> np.ndarray:
     return wheel.seed_indices[np.minimum(idx, len(wheel.seed_indices) - 1)]
 
 
+def nearest_rows(Q, P, k: int, exclude=None) -> np.ndarray:
+    """Positions of the k rows of Q nearest to each row of P, nearest first.
+
+    Row i is ``np.argsort(np.linalg.norm(Q - P[i], axis=1), kind="stable")``
+    without position ``exclude[i]`` (when `exclude` is given), cut to its
+    first k entries; k is capped at the positions available.
+
+    Each block of P rows is screened with the expanded squared distance
+    |p|^2 + |q|^2 - 2 p.q from one matrix product. The rows within the
+    screen's slack of the k-th smallest screened value are then recomputed
+    with the same np.linalg.norm arithmetic and stably sorted, so distances,
+    ties and their lower-position-first order are those of the full scan.
+    """
+    Q = np.asarray(Q, dtype=float)
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    k = min(k, len(Q) - (exclude is not None))
+    out = np.empty((len(P), max(k, 0)), dtype=np.intp)
+    if k <= 0:
+        return out
+    sq_q = np.einsum("ij,ij->i", Q, Q)
+    sq_q_max = sq_q.max()
+    rows = max(1, _BLOCK // len(Q))
+    for lo in range(0, len(P), rows):
+        B = P[lo:lo + rows]
+        r = np.arange(len(B))
+        sq_p = np.einsum("ij,ij->i", B, B)
+        with np.errstate(over="ignore", invalid="ignore"):   # overflow falls back below
+            s = sq_q - 2.0 * (B @ Q.T)
+            s += sq_p[:, None]
+            if exclude is not None:
+                ex = np.asarray(exclude[lo:lo + rows])
+                s[r, ex] = np.inf
+            kth = np.partition(s, k - 1, axis=1)[:, k - 1]
+            # A screened value and the square of the distance np.linalg.norm
+            # returns each differ from the exact |p - q|^2 by at most about
+            # (2d + 7) * 2^-53 * (|p|^2 + |q|^2), plus a few multiples of d
+            # subnormal units (2^-1074) where squares underflow. So every row
+            # of the exact top k screens at most twice that above the k-th
+            # screened value, which the slack below exceeds for any d up to
+            # about 10^6. Where |p|^2, some |q|^2 or the bound is not finite
+            # (squares overflow near 1e154), the row takes the full exact scan.
+            bound = kth + (1e-9 * (sq_p + sq_q_max) + 1e-300)
+        keep = s <= bound[:, None]
+        keep[~np.isfinite(bound)] = True
+        if exclude is not None:
+            keep[r, ex] = False
+        i, j = np.nonzero(keep)              # j ascends within each row
+        d = np.linalg.norm(Q[j] - B[i], axis=1)
+        j = j[np.lexsort((d, i))]            # stable: equal distances keep position order
+        counts = keep.sum(axis=1)
+        out[lo:lo + rows] = j[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return out
+
+
+def smote_points(X, seeds, slots, alphas):
+    """smote_interpolate's points for seeds, neighbor slots and alphas
+    already drawn: row i is X[s] + alpha * (X[nb] - X[s]) for s = seeds[i],
+    where nb is the slots[i]-th nearest other row of X to X[s].
+
+    Returns (points, neighbor positions).
+    """
+    seeds = np.asarray(seeds)
+    slots = np.asarray(slots)
+    unique, inverse = np.unique(seeds, return_inverse=True)
+    nb = nearest_rows(X, X[unique], int(slots.max()) + 1, exclude=unique)[inverse, slots]
+    S = X[seeds]
+    return S + np.asarray(alphas)[:, None] * (X[nb] - S), nb
+
+
 def smote_interpolate(seed, minority: Dataset, seed_index: int, k_neighbors: int,
                       rng: RandomSource) -> SyntheticSample:
     """Linear interpolation between a minority seed and one of its minority
@@ -150,10 +224,7 @@ def smote_interpolate(seed, minority: Dataset, seed_index: int, k_neighbors: int
     if len(minority) < 2:
         raise ValueError("need at least 2 minority samples to interpolate")
     seed = np.asarray(seed, dtype=float)
-    d = np.linalg.norm(minority.X - seed, axis=1)
-    order = np.argsort(d, kind="stable")
-    order = order[order != seed_index]
-    neighbors = order[: min(k_neighbors, len(minority) - 1)]
+    neighbors = nearest_rows(minority.X, seed, k_neighbors, exclude=[seed_index])[0]
     neighbor_index = int(neighbors[int(rng.integers(0, len(neighbors)))])
     alpha = float(rng.uniform())
     x = seed + alpha * (minority.X[neighbor_index] - seed)
@@ -199,15 +270,28 @@ def _oversample(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
     """The synthetics minority_class_pruning adds, noise-filtered under `model`."""
     wheel = build_roulette(minority, majority, cfg.epsilon)
     target = math.ceil(cfg.candidate_multiplier * cfg.k)
+    cap = cfg.effective_spin_cap
+    n_slots = min(cfg.k_neighbors, len(minority) - 1)
+    X, M = minority.X, majority.X
     accepted = []
     spins = 0
-    while len(accepted) < target and spins < cfg.effective_spin_cap:
-        seed_index = int(spin(wheel, 1, rng)[0])
-        spins += 1
-        candidate = smote_interpolate(minority.X[seed_index], minority, seed_index,
-                                      cfg.k_neighbors, rng)
-        if regularization_accept(candidate, majority):
-            accepted.append(candidate)
+    while len(accepted) < target and spins < cap:
+        # Each spin accepts at most one candidate, so spinning one at a time
+        # would make every spin of this chunk too. Per spin the draws are
+        # smote_interpolate's: roulette uniform, neighbor slot, alpha.
+        n = min(target - len(accepted), cap - spins)
+        seeds, slots, alphas = zip(*[(int(spin(wheel, 1, rng)[0]), int(rng.integers(0, n_slots)),
+                                      float(rng.uniform())) for _ in range(n)])
+        spins += n
+        C, nb = smote_points(X, seeds, slots, alphas)
+        # regularization_accept's distances, with its arithmetic
+        dist_maj = np.linalg.norm(M[nearest_rows(M, C, 1)[:, 0]] - C, axis=1)
+        for x, s, j, a, d_maj in zip(C, seeds, nb, alphas, dist_maj):
+            d_min = float(np.linalg.norm(x - X[s]))
+            if d_min <= d_maj:
+                accepted.append(SyntheticSample(x=x, seed_index=s, neighbor_index=int(j),
+                                                alpha=a, seed_x=X[s], dist_min=d_min,
+                                                dist_maj=float(d_maj)))
     retained = _entropy_filter(model, accepted, cfg.k) if accepted else []
     if stats is not None:
         stats.update(spins=spins, accepted=len(accepted), retained=len(retained))

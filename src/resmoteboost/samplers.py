@@ -14,18 +14,20 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .data import ClassPartition, Dataset, NEGATIVE, POSITIVE, RandomSource
-from .pruning import smote_interpolate
+from .pruning import _BLOCK, smote_points
 
 
 def _synthesize(minority: Dataset, seed_indices, k_neighbors: int, rng: RandomSource) -> Dataset:
-    """Interpolated synthetics for the given seeds; returns minority + synthetics."""
+    """Interpolated synthetics for the given seeds, drawing each seed's
+    neighbor slot and alpha in smote_interpolate's order; returns minority +
+    synthetics."""
     if len(seed_indices) == 0:
         return minority
-    rows = []
-    for i in seed_indices:
-        s = smote_interpolate(minority.X[i], minority, int(i), k_neighbors, rng)
-        rows.append(s.x)
-    syn = Dataset(np.vstack(rows), np.full(len(rows), POSITIVE),
+    n_slots = min(k_neighbors, len(minority) - 1)
+    slots, alphas = zip(*[(int(rng.integers(0, n_slots)), float(rng.uniform()))
+                          for _ in seed_indices])
+    rows = smote_points(minority.X, seed_indices, slots, alphas)[0]
+    syn = Dataset(rows, np.full(len(rows), POSITIVE),
                   feature_names=minority.feature_names, source_tag=minority.source_tag)
     return minority.concat(syn)
 
@@ -101,16 +103,17 @@ def tomek_links(partition: ClassPartition) -> Dataset:
         raise ValueError("both classes must be non-empty")
     full = partition.majority.concat(partition.minority)
     m_off = len(partition.majority)
-    d = cdist(full.X, full.X)
-    np.fill_diagonal(d, np.inf)
-    nn = np.argmin(d, axis=1)  # argmin is index-ordered, so ties pick lower index
-    drop = set()
-    for a in range(m_off):                      # a in majority
-        b = int(nn[a])
-        if b >= m_off and int(nn[b]) == a:      # b in minority and mutual
-            drop.add(a)
-    keep = [i for i in range(len(full)) if i not in drop]
-    return full.subset(keep)
+    nn = np.empty(len(full), dtype=int)
+    rows = max(1, _BLOCK // len(full))
+    for lo in range(0, len(full), rows):
+        d = cdist(full.X[lo:lo + rows], full.X)
+        r = np.arange(len(d))
+        d[r, lo + r] = np.inf
+        nn[lo:lo + rows] = np.argmin(d, axis=1)  # argmin is index-ordered, so ties pick lower index
+    b = nn[:m_off]                                # nearest neighbor of each majority row
+    keep = np.ones(len(full), dtype=bool)
+    keep[:m_off] = ~((b >= m_off) & (nn[b] == np.arange(m_off)))   # b in minority and mutual
+    return full.subset(np.flatnonzero(keep))
 
 
 def random_under(partition: ClassPartition, n_remove: int, rng: RandomSource) -> Dataset:

@@ -116,6 +116,26 @@ class TestRun:
         assert len(dumped) == fold0["model"]["train_size_after_resampling"]
         assert held_out.isdisjoint(tuple(row) for row in dumped.X)
 
+    def test_cv_out_of_range_errors(self, blob_csv, tmp_path, capsys):
+        for folds in ("1", "21"):    # the fixture has 20 minority rows
+            code = run_cli(["run", "--data", str(blob_csv), "--cv", folds,
+                            "--out", str(tmp_path / "r.json")])
+            assert code == 1
+            assert "cv_folds" in capsys.readouterr().err
+
+    def test_one_class_split_leaves_auc_blank(self, tmp_path):
+        data = tmp_path / "few.csv"
+        run_cli(["gen", "--n-maj", "200", "--n-min", "6", "--sep", "1.5", "--seed", "0",
+                 "--out", str(data)])
+        out = tmp_path / "r.json"
+        assert run_cli(["run", "--data", str(data), "--no-stratify", "--replications", "30",
+                        "--seed", "0", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        missing = {r["replication"] for r in report["replications"] if "auc" not in r["metrics"]}
+        assert missing
+        rows = (tmp_path / "r_replications.csv").read_text().splitlines()[1:]
+        assert {int(row.split(",")[0]) for row in rows if row.endswith(",")} == missing
+
     def test_missing_file_errors(self, tmp_path, capsys):
         code = run_cli(["run", "--data", str(tmp_path / "nope.csv"),
                         "--out", str(tmp_path / "o.json")])

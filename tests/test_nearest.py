@@ -1,0 +1,214 @@
+"""Exactness of the screened neighbour search against full-scan oracles.
+
+`nearest_rows` must return, row for row, the positions a full
+`np.argsort(np.linalg.norm(Q - p, axis=1), kind="stable")` returns, and every
+caller that moved onto it must reproduce the one-candidate-at-a-time loops it
+replaced: the same points bit for bit, the same statistics and the same
+random-number state afterwards.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
+
+from resmoteboost import (ClassPartition, Dataset, KNNLearner, NEGATIVE, POSITIVE,
+                          PruningConfig, RandomSource, SyntheticSample, build_roulette,
+                          fit_gnb, make_gaussian_blobs, regularization_accept, spin,
+                          tomek_links)
+from resmoteboost.pruning import _entropy_filter, _oversample, nearest_rows
+
+
+def argsort_oracle(Q, P, k, exclude=None):
+    rows = []
+    for i, p in enumerate(P):
+        order = np.argsort(np.linalg.norm(Q - p, axis=1), kind="stable")
+        if exclude is not None:
+            order = order[order != exclude[i]]
+        rows.append(order[:k])
+    return np.array(rows, dtype=np.intp).reshape(len(P), -1)
+
+
+def make_rows(kind: str, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "grid":          # exact ties everywhere, duplicate rows likely
+        return rng.integers(0, 3, size=(n, d)).astype(float)
+    if kind == "duplicates":    # a few distinct rows, each repeated
+        return rng.normal(size=(max(1, n // 4), d))[rng.integers(0, max(1, n // 4), size=n)]
+    if kind == "jitter":        # near-ties inside the screen's slack
+        return rng.normal(size=d) + 1e-12 * rng.normal(size=(n, d))
+    if kind == "near-overflow":  # squares overflow to inf near 1e154
+        return rng.choice([-1.0, 1.0], size=(n, d)) * rng.uniform(0.3, 3.0, size=(n, d)) * 1e154
+    if kind == "subnormal":     # squares and products underflow below 2^-1022
+        return rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-162, -155)
+    scale = {"unit": 1.0, "huge": 1e150, "tiny": 1e-150}[kind]
+    return rng.normal(size=(n, d)) * scale
+
+
+KINDS = ("unit", "huge", "tiny", "subnormal", "grid", "duplicates", "jitter", "near-overflow")
+
+
+class TestNearestRows:
+    # squares near 1e154 overflow in the oracle's norms as in the full scan
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(KINDS), n=st.integers(1, 40), d=st.integers(1, 5),
+           m=st.integers(1, 12), k=st.integers(1, 45), excluded=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_argsort_oracle(self, kind, n, d, m, k, excluded, seed):
+        rng = np.random.default_rng(seed)
+        Q = make_rows(kind, n, d, rng)
+        if excluded:
+            exclude = rng.integers(0, n, size=m)
+            P = Q[exclude]                   # a row's own position is removed
+        else:
+            exclude = None
+            # fresh rows, rows of Q, and rows of Q moved slightly
+            near = Q[rng.integers(0, n, m)] + 1e-3 * make_rows(kind, m, d, rng)
+            P = np.vstack([make_rows(kind, m, d, rng), Q, near])[rng.permutation(2 * m + n)[:m]]
+        got = nearest_rows(Q, P, k, exclude=exclude)
+        np.testing.assert_array_equal(got, argsort_oracle(Q, P, k, exclude))
+        assert got.shape == (m, min(k, n - excluded))
+
+    def test_many_blocks(self):
+        # enough rows that the screen runs in several blocks
+        rng = np.random.default_rng(3)
+        Q = rng.integers(0, 4, size=(3000, 3)).astype(float)
+        P = Q[:200]
+        exclude = np.arange(200)
+        np.testing.assert_array_equal(nearest_rows(Q, P, 7, exclude=exclude),
+                                      argsort_oracle(Q, P, 7, exclude))
+
+    def test_single_query_vector(self):
+        Q = np.array([[0.0], [2.0], [1.0], [1.0]])
+        np.testing.assert_array_equal(nearest_rows(Q, np.array([1.0]), 3), [[2, 3, 0]])
+        np.testing.assert_array_equal(nearest_rows(Q, [[1.0]], 9, exclude=[2]), [[3, 0, 1]])
+        assert nearest_rows(Q[:1], [[1.0]], 3, exclude=[0]).shape == (1, 0)
+
+
+def old_smote_interpolate(seed, minority, seed_index, k_neighbors, rng):
+    """The per-call full-scan interpolation the candidate loop used to make."""
+    seed = np.asarray(seed, dtype=float)
+    d = np.linalg.norm(minority.X - seed, axis=1)
+    order = np.argsort(d, kind="stable")
+    order = order[order != seed_index]
+    neighbors = order[: min(k_neighbors, len(minority) - 1)]
+    neighbor_index = int(neighbors[int(rng.integers(0, len(neighbors)))])
+    alpha = float(rng.uniform())
+    x = seed + alpha * (minority.X[neighbor_index] - seed)
+    return SyntheticSample(x=x, seed_index=int(seed_index), neighbor_index=neighbor_index,
+                           alpha=alpha, seed_x=seed)
+
+
+def oversample_oracle(majority, minority, cfg, model, rng, stats):
+    """One spin, one candidate and one acceptance test at a time."""
+    wheel = build_roulette(minority, majority, cfg.epsilon)
+    target = math.ceil(cfg.candidate_multiplier * cfg.k)
+    accepted = []
+    spins = 0
+    while len(accepted) < target and spins < cfg.effective_spin_cap:
+        seed_index = int(spin(wheel, 1, rng)[0])
+        spins += 1
+        candidate = old_smote_interpolate(minority.X[seed_index], minority, seed_index,
+                                          cfg.k_neighbors, rng)
+        if regularization_accept(candidate, majority):
+            accepted.append(candidate)
+    retained = _entropy_filter(model, accepted, cfg.k) if accepted else []
+    stats.update(spins=spins, accepted=len(accepted), retained=len(retained))
+    if retained:
+        stats["synthetics"] = [c.to_json() for c in retained]
+    return retained
+
+
+def pools(kind: str, n_maj: int, n_min: int, d: int, seed: int):
+    if kind == "grid":
+        rng = np.random.default_rng(seed)
+        X_maj = rng.integers(0, 3, size=(n_maj, d)).astype(float)
+        X_min = rng.integers(1, 4, size=(n_min, d)).astype(float)
+    else:
+        data = make_gaussian_blobs(n_maj, n_min, d, {"overlap": 0.3, "apart": 3.0}[kind], seed)
+        X_maj, X_min = data.X[data.y == NEGATIVE], data.X[data.y == POSITIVE]
+    return (Dataset(X_maj, np.full(n_maj, NEGATIVE)), Dataset(X_min, np.full(n_min, POSITIVE)))
+
+
+class TestOversampleOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(("overlap", "apart", "grid")), n_maj=st.integers(3, 60),
+           n_min=st.integers(2, 25), d=st.integers(1, 4), k=st.integers(0, 12),
+           k_neighbors=st.integers(1, 7), multiplier=st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+           cap_extra=st.sampled_from((None, 0, 1, 5)), seed=st.integers(0, 2**32 - 1))
+    def test_matches_one_at_a_time_loop(self, kind, n_maj, n_min, d, k, k_neighbors,
+                                        multiplier, cap_extra, seed):
+        majority, minority = pools(kind, n_maj, n_min, d, seed)
+        # a spin cap of k (+ a little) stops most overlapping runs at the cap
+        cfg = PruningConfig(k=k, k_neighbors=k_neighbors, candidate_multiplier=multiplier,
+                            spin_cap=None if cap_extra is None else k + cap_extra)
+        model = fit_gnb(majority.concat(minority))
+        rng_new, rng_old = RandomSource(seed), RandomSource(seed)
+        stats_new, stats_old = {}, {}
+        new = _oversample(majority, minority, cfg, model, rng_new, stats_new)
+        old = oversample_oracle(majority, minority, cfg, model, rng_old, stats_old)
+        assert stats_new == stats_old
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert a.x.tobytes() == b.x.tobytes()
+            assert a.to_json() == b.to_json()
+        assert rng_new._gen.bit_generator.state == rng_old._gen.bit_generator.state
+
+    def test_spin_cap_stops_the_loop(self):
+        majority, minority = pools("overlap", 60, 10, 2, 1)
+        cfg = PruningConfig(k=20, spin_cap=20)
+        stats_new, stats_old = {}, {}
+        model = fit_gnb(majority.concat(minority))
+        _oversample(majority, minority, cfg, model, RandomSource(4), stats_new)
+        oversample_oracle(majority, minority, cfg, model, RandomSource(4), stats_old)
+        assert stats_new["spins"] == 20 and stats_new["accepted"] < 40
+        assert stats_new == stats_old
+
+
+def old_knn_score(learner, X):
+    k = min(learner.n_neighbors, len(learner._X))
+    out = np.empty(len(X))
+    for i, x in enumerate(X):
+        nn = np.argsort(np.linalg.norm(learner._X - x, axis=1), kind="stable")[:k]
+        out[i] = float((learner._w[nn] * learner._y[nn]).sum())
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.booleans(), n=st.integers(1, 50), n_neighbors=st.integers(1, 15),
+       seed=st.integers(0, 2**32 - 1))
+def test_knn_score_matches_row_loop(grid, n, n_neighbors, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, size=(n, 3)).astype(float) if grid else rng.normal(size=(n, 3))
+    y = rng.choice([NEGATIVE, POSITIVE], size=n)
+    w = rng.dirichlet(np.ones(n))
+    learner = KNNLearner(n_neighbors).fit(X, y, w)
+    queries = np.vstack([X, rng.integers(0, 3, size=(7, 3)).astype(float)])
+    assert learner.score(queries).tobytes() == old_knn_score(learner, queries).tobytes()
+
+
+def test_blocked_roulette_distances_match_full_matrix():
+    data = make_gaussian_blobs(300, 120, 4, 1.0, 6)      # 36000 pairs: several blocks
+    minority = Dataset(data.X[data.y == POSITIVE], data.y[data.y == POSITIVE])
+    majority = Dataset(data.X[data.y == NEGATIVE], data.y[data.y == NEGATIVE])
+    wheel = build_roulette(minority, majority)
+    full = cdist(minority.X, majority.X, metric="cityblock").sum(axis=1)
+    assert wheel.distances.tobytes() == full.tobytes()
+
+
+def test_blocked_tomek_links_match_full_matrix():
+    data = make_gaussian_blobs(250, 90, 2, 0.5, 11)      # several blocks
+    X = np.round(data.X, 1)                              # tied neighbours
+    X_maj, X_min = X[data.y == NEGATIVE], X[data.y == POSITIVE]
+    part = ClassPartition(majority=Dataset(X_maj, np.full(250, NEGATIVE)),
+                          minority=Dataset(X_min, np.full(90, POSITIVE)))
+    full_X = np.vstack([X_maj, X_min])
+    d = cdist(full_X, full_X)
+    np.fill_diagonal(d, np.inf)
+    nn = np.argmin(d, axis=1)
+    drop = {a for a in range(250) if nn[a] >= 250 and nn[nn[a]] == a}
+    expected = full_X[[i for i in range(len(full_X)) if i not in drop]]
+    assert len(drop) > 0
+    np.testing.assert_array_equal(tomek_links(part).X, expected)
