@@ -75,44 +75,51 @@ def fit_stump_params(X, y, w):
 
     Candidates are the midpoints between consecutive distinct sorted values of
     each feature plus -inf/+inf sentinels (the sentinels encode the constant
-    classifiers). Ties break toward (lower feature, lower threshold, positive
-    polarity). Returns (feature_index, threshold, polarity).
+    classifiers). Every candidate of every feature is scored at once from one
+    stable sort per column. Ties break toward (lower feature, lower threshold,
+    positive polarity). Returns (feature_index, threshold, polarity).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     w = np.asarray(w, dtype=float)
-    if np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("weights must be non-negative with positive sum")
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ValueError(f"X must be 2-D with at least one feature, got shape {X.shape}")
     n, d = X.shape
+    if y.shape != (n,) or w.shape != (n,):
+        raise ValueError(f"y {y.shape} and w {w.shape} must have one entry per row of X ({n})")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("feature values must be finite")
+    total = w.sum()
+    if not np.isfinite(total) or np.any(w < 0) or total <= 0:   # inf or nan in w: sum not finite
+        raise ValueError("weights must be finite and non-negative with a finite positive sum")
     w_pos_total = float(w[y == POSITIVE].sum())
     w_neg_total = float(w[y == NEGATIVE].sum())
 
-    best = (np.inf, 0, -np.inf, 1)  # (error, feature, threshold, polarity)
-    for j in range(d):
-        col = X[:, j]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        wp = np.where(y[order] == POSITIVE, w[order], 0.0)
-        wn = np.where(y[order] == NEGATIVE, w[order], 0.0)
-        cp = np.cumsum(wp)
-        cn = np.cumsum(wn)
-        # boundary b means threshold between xs[b-1] and xs[b]; b=0 is -inf, b=n is +inf
-        boundaries = [0] + [b for b in range(1, n) if xs[b] > xs[b - 1]] + [n]
-        for b in boundaries:
-            if b == 0:
-                thr, s_pos, s_neg = -np.inf, 0.0, 0.0
-            elif b == n:
-                thr, s_pos, s_neg = np.inf, cp[-1], cn[-1]
-            else:
-                thr = 0.5 * (xs[b - 1] + xs[b])
-                s_pos, s_neg = cp[b - 1], cn[b - 1]
-            err_plus = s_pos + (w_neg_total - s_neg)   # predict + where x > thr
-            err_minus = (w_pos_total - s_pos) + s_neg  # predict + where x < thr... via polarity -1
-            for polarity, err in ((1, err_plus), (-1, err_minus)):
-                key = (err, j, thr, -polarity)
-                if key < (best[0], best[1], best[2], -best[3]):
-                    best = (err, j, thr, polarity)
-    return best[1], best[2], best[3]
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    # row b of cp/cn is the weight below boundary b, the threshold between
+    # xs[b-1] and xs[b]; row 0 is the -inf sentinel and row n the +inf one
+    cp = np.zeros((n + 1, d))
+    cn = np.zeros((n + 1, d))
+    np.cumsum(np.where(y == POSITIVE, w, 0.0)[order], axis=0, out=cp[1:])
+    np.cumsum(np.where(y == NEGATIVE, w, 0.0)[order], axis=0, out=cn[1:])
+    err_plus = cp + (w_neg_total - cn)    # predict + where x > thr
+    err_minus = (w_pos_total - cp) + cn   # predict + where x < thr
+    tied = np.zeros((n + 1, d), dtype=bool)
+    tied[1:n] = xs[1:] == xs[:-1]         # no threshold between equal values
+    err_plus[tied] = np.inf
+    err_minus[tied] = np.inf
+
+    # lexicographic minimum of (error, feature, threshold, -polarity)
+    best = min(err_plus.min(), err_minus.min())
+    hit_plus, hit_minus = err_plus == best, err_minus == best
+    j = int(np.argmax((hit_plus | hit_minus).any(axis=0)))
+    thr = np.concatenate([[-np.inf], 0.5 * (xs[:-1, j] + xs[1:, j]), [np.inf]])
+    hits = np.flatnonzero(hit_plus[:, j] | hit_minus[:, j])
+    lowest = hits[thr[hits] == thr[hits].min()]   # distinct boundaries can round to one midpoint
+    plus = lowest[hit_plus[lowest, j]]
+    b = plus[0] if len(plus) else lowest[0]
+    return j, float(thr[b]), 1 if len(plus) else -1
 
 
 def fit_stump(data: Dataset, weights) -> DecisionStump:

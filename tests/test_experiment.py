@@ -1,8 +1,15 @@
-"""Experiment-level degenerate cases: k-fold bounds and one-class test splits."""
+"""Experiment-level degenerate cases: k-fold bounds, one-class test splits,
+determinism per seed and finite summaries on degenerate data."""
 
+import json
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from resmoteboost import ExperimentConfig, make_gaussian_blobs, run_experiment
+from resmoteboost import (Dataset, ExperimentConfig, NEGATIVE, make_gaussian_blobs,
+                          run_experiment)
 
 
 @pytest.mark.parametrize("folds", [-2, 0, 1])
@@ -42,3 +49,52 @@ def test_auc_summary_with_no_defined_value():
                                                    replications=1, seed=0))
     assert "auc" not in report["replications"][0]["metrics"]   # the 3 test rows are negative
     assert report["summaries"]["auc"] == {"metric": "auc", "mean": None, "std_dev": None, "n": 0}
+
+
+STUMP_BOOSTING = ("re_smoteboost", "smoteboost", "rusboost", "plain_boost")
+
+
+def _without_timing(report: dict) -> str:
+    return json.dumps({k: v for k, v in report.items() if k != "timing"}, sort_keys=True)
+
+
+@settings(max_examples=24, deadline=None)
+@given(method=st.sampled_from(STUMP_BOOSTING), n_maj=st.integers(20, 50),
+       n_min=st.integers(5, 12), d=st.integers(1, 4), data_seed=st.integers(0, 2**32 - 1),
+       seed=st.integers(0, 2**63 - 1))
+def test_stump_boosting_is_deterministic_per_seed(method, n_maj, n_min, d, data_seed, seed):
+    data = make_gaussian_blobs(n_maj, n_min, d, 1.0, data_seed)
+    cfg = ExperimentConfig(method=method, base_learner="stump", replications=2, seed=seed)
+    assert _without_timing(run_experiment(data, cfg)) == _without_timing(run_experiment(data, cfg))
+
+
+def _degenerate(case: str, seed: int) -> Dataset:
+    data = make_gaussian_blobs(36, 9, 1 if case == "d=1" else 2, 1.5, seed)
+    X = data.X
+    if case == "constant column":
+        X = np.column_stack([X, np.full(len(X), 3.0)])
+    elif case == "all-duplicate majority":
+        X = np.where((data.y == NEGATIVE)[:, None], X[0], X)
+    elif case.startswith("scaled"):
+        X = X * float(case.split()[1])
+    return Dataset(X, data.y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(method=st.sampled_from(STUMP_BOOSTING),
+       case=st.sampled_from(("d=1", "constant column", "all-duplicate majority",
+                             "scaled 1e150", "scaled 1e-150")),
+       data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**63 - 1))
+def test_stump_boosting_summaries_finite_on_degenerate_data(method, case, data_seed, seed):
+    data = _degenerate(case, data_seed)
+    report = run_experiment(data, ExperimentConfig(method=method, base_learner="stump",
+                                                   replications=3, seed=seed))
+    reps = report["replications"]
+    for key, name in (("auc", "auc"), ("positive_class.f1", "f1")):
+        for r in reps:
+            value = r["metrics"].get("auc") if name == "auc" else r["metrics"]["positive_class"]["f1"]
+            assert value is not None and math.isfinite(value) or name in r["metrics"]["undefined"]
+        summary = report["summaries"][key]
+        assert summary["mean"] is not None and math.isfinite(summary["mean"]) or all(
+            name in r["metrics"]["undefined"] for r in reps)
+        assert summary["std_dev"] is None or math.isfinite(summary["std_dev"])
