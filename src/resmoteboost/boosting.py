@@ -195,13 +195,11 @@ LEARNER_TYPES = {"stump": DecisionStump, "gnb": GaussianNBLearner, "knn": KNNLea
 
 
 def make_learner_factory(name: str):
-    if name == "stump":
-        return DecisionStump
-    if name == "gnb":
-        return lambda: GaussianNBLearner(var_smoothing=1.0)
-    if name == "knn":
-        return lambda: KNNLearner(n_neighbors=10)
-    raise ValueError(f"unknown base learner {name!r}")
+    """The learner class for `name`; called with no arguments it builds a
+    learner with the defaults (var_smoothing=1.0, n_neighbors=10)."""
+    if name not in LEARNER_TYPES:
+        raise ValueError(f"unknown base learner {name!r}")
+    return LEARNER_TYPES[name]
 
 
 @dataclass
@@ -290,12 +288,9 @@ def _rebalance(train: Dataset, maj_idx, min_idx, syn_X, cfg: BoostConfig,
     if cfg.rebalancer == "smote":
         if cfg.k >= 1:
             k_nb = cfg.pruning.k_neighbors if cfg.pruning else 5
-            n_slots = min(k_nb, len(minority) - 1)
-            # per synthetic: seed, then smote_interpolate's slot and alpha
-            seeds, slots, alphas = zip(*[(int(rng.integers(0, len(minority))),
-                                          int(rng.integers(0, n_slots)), float(rng.uniform()))
-                                         for _ in range(cfg.k)])
-            syn_X = np.vstack([syn_X, smote_points(minority.X, seeds, slots, alphas)[0]])
+            points = smote_points(minority.X, cfg.k, k_nb, rng,
+                                  lambda: int(rng.integers(0, len(minority))))[0]
+            syn_X = np.vstack([syn_X, points])
             audit["added"] = cfg.k
     else:  # double_pruning
         k_eff = min(cfg.k, len(maj_idx) - 1)

@@ -38,10 +38,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--method", default="none", choices=METHODS)
     run.add_argument("--base", default="stump", choices=("stump", "gnb", "knn"),
                      help="base learner")
-    run.add_argument("--k", type=int, default=None,
-                     help="per-iteration over/under sample count")
-    run.add_argument("--k-fraction", type=float, default=None,
-                     help="k as a fraction of the class-size gap (converted once)")
+    k_group = run.add_mutually_exclusive_group()
+    k_group.add_argument("--k", type=int, default=None,
+                         help="per-iteration over/under sample count")
+    k_group.add_argument("--k-fraction", type=float, default=None,
+                         help="k as a fraction of the class-size gap (converted once)")
     run.add_argument("--k-neighbors", type=int, default=5)
     run.add_argument("--t-max", default="heuristic",
                      help='iteration count, or "heuristic"')
@@ -83,6 +84,8 @@ def cmd_run(args) -> int:
     data = load_csv(args.data, args.label_column, args.positive_label)
     k = args.k
     if args.k_fraction is not None:
+        if not args.k_fraction > 0:
+            raise ValueError(f"--k-fraction must be > 0, got {args.k_fraction}")
         part = partition_by_class(data)
         gap = len(part.majority) - len(part.minority)
         k = max(1, round(args.k_fraction * gap))

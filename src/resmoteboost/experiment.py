@@ -50,6 +50,10 @@ class ExperimentConfig:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.k is not None and self.k < 1:
+            raise ValueError(f"k must be None or >= 1, got {self.k}")
+        if self.k_neighbors < 1:
+            raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if self.cv_folds is not None and self.cv_folds < 2:
             raise ValueError(f"cv_folds must be None or >= 2, got {self.cv_folds}")
 
@@ -74,15 +78,9 @@ def resample_train(train: Dataset, cfg: ExperimentConfig, rng: RandomSource) -> 
         return train
     part = partition_by_class(train)
     gap = len(part.majority) - len(part.minority)
-    if cfg.method == "smote":
-        new_min = samplers.smote(part, gap, cfg.k_neighbors, rng)
-        return part.majority.concat(new_min)
-    if cfg.method == "borderline_smote":
-        new_min = samplers.borderline_smote(part, gap, cfg.k_neighbors, rng)
-        return part.majority.concat(new_min)
-    if cfg.method == "adasyn":
-        new_min = samplers.adasyn(part, gap, cfg.k_neighbors, rng)
-        return part.majority.concat(new_min)
+    if cfg.method in ("smote", "borderline_smote", "adasyn"):
+        oversample = getattr(samplers, cfg.method)
+        return part.majority.concat(oversample(part, gap, cfg.k_neighbors, rng))
     if cfg.method == "tomek_links":
         return samplers.tomek_links(part)
     if cfg.method == "random_under":
@@ -115,21 +113,22 @@ def train_and_score(train: Dataset, test: Dataset, cfg: ExperimentConfig,
     if cfg.method in BOOSTING_METHODS:
         bcfg = _boost_config(train, cfg)
         ensemble = fit_boosted(train, bcfg, factory, rng, capture=capture)
-        pred = ensemble.predict(test.X)
         scores = ensemble.decision_function(test.X)
         info = {"t_max": bcfg.t_max, "k": bcfg.k,
                 "training_log": ensemble.training_log}
-        return pred, scores, info
-    resampled = resample_train(train, cfg, rng)
-    if capture is not None:
-        capture["X"] = resampled.X
-        capture["y"] = resampled.y
-        capture.setdefault("synthetics", [])
-    learner = factory()
-    learner.fit(resampled.X, resampled.y, np.full(len(resampled), 1.0 / len(resampled)))
-    return learner.predict(test.X), learner.score(test.X), {
-        "train_size_before_resampling": len(train),
-        "train_size_after_resampling": len(resampled)}
+    else:
+        resampled = resample_train(train, cfg, rng)
+        if capture is not None:
+            capture["X"] = resampled.X
+            capture["y"] = resampled.y
+            capture.setdefault("synthetics", [])
+        learner = factory()
+        learner.fit(resampled.X, resampled.y, np.full(len(resampled), 1.0 / len(resampled)))
+        scores = learner.score(test.X)
+        info = {"train_size_before_resampling": len(train),
+                "train_size_after_resampling": len(resampled)}
+    # every model's predict: a zero margin resolves to the negative class
+    return np.where(scores > 0, POSITIVE, NEGATIVE), scores, info
 
 
 def _fold_indices(data: Dataset, folds: int, seed: int, fold: int):

@@ -202,34 +202,46 @@ def nearest_rows(Q, P, k: int, exclude=None) -> np.ndarray:
     return out
 
 
-def smote_points(X, seeds, slots, alphas):
-    """smote_interpolate's points for seeds, neighbor slots and alphas
-    already drawn: row i is X[s] + alpha * (X[nb] - X[s]) for s = seeds[i],
-    where nb is the slots[i]-th nearest other row of X to X[s].
+def smote_points(X, n: int, k_neighbors: int, rng: RandomSource, draw_seed):
+    """n SMOTE points from the rows of X: row i is X[s] + alpha * (X[nb] - X[s]),
+    where nb is a uniformly drawn one of the min(k_neighbors, len(X) - 1)
+    nearest other rows of X to X[s]. Per point the draws are, in order, the
+    seed position s = draw_seed(), the neighbor slot and alpha ~ U[0, 1).
 
-    Returns (points, neighbor positions).
+    Returns (points, seeds, neighbor positions, alphas).
     """
-    seeds = np.asarray(seeds)
-    slots = np.asarray(slots)
+    n_slots = min(k_neighbors, len(X) - 1)
+    seeds, slots, alphas = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), np.empty(n)
+    for i in range(n):
+        seeds[i], slots[i], alphas[i] = draw_seed(), rng.integers(0, n_slots), rng.uniform()
     unique, inverse = np.unique(seeds, return_inverse=True)
-    nb = nearest_rows(X, X[unique], int(slots.max()) + 1, exclude=unique)[inverse, slots]
+    nb = nearest_rows(X, X[unique], int(slots.max(initial=-1)) + 1, exclude=unique)[inverse, slots]
     S = X[seeds]
-    return S + np.asarray(alphas)[:, None] * (X[nb] - S), nb
+    return S + alphas[:, None] * (X[nb] - S), seeds, nb, alphas
 
 
 def smote_interpolate(seed, minority: Dataset, seed_index: int, k_neighbors: int,
                       rng: RandomSource) -> SyntheticSample:
     """Linear interpolation between a minority seed and one of its minority
-    nearest neighbors: x = seed + alpha * (neighbor - seed), alpha ~ U[0,1)."""
+    nearest neighbors: x = seed + alpha * (neighbor - seed), alpha ~ U[0,1).
+    `seed` must be row `seed_index` of the minority set."""
     if len(minority) < 2:
         raise ValueError("need at least 2 minority samples to interpolate")
-    seed = np.asarray(seed, dtype=float)
-    neighbors = nearest_rows(minority.X, seed, k_neighbors, exclude=[seed_index])[0]
-    neighbor_index = int(neighbors[int(rng.integers(0, len(neighbors)))])
-    alpha = float(rng.uniform())
-    x = seed + alpha * (minority.X[neighbor_index] - seed)
-    return SyntheticSample(x=x, seed_index=int(seed_index), neighbor_index=neighbor_index,
-                           alpha=alpha, seed_x=seed)
+    seed_x = minority.X[seed_index]
+    if not np.array_equal(np.asarray(seed, dtype=float), seed_x):
+        raise ValueError(f"seed is not minority row {seed_index}")
+    x, _, nb, alpha = smote_points(minority.X, 1, k_neighbors, rng, lambda: seed_index)
+    return SyntheticSample(x=x[0], seed_index=int(seed_index), neighbor_index=int(nb[0]),
+                           alpha=float(alpha[0]), seed_x=seed_x)
+
+
+def _accept(C, S, M):
+    """(dist_min, dist_maj, accepted) for candidate rows C with seed rows S
+    against majority rows M: the regularization test dist_min <= dist_maj."""
+    dist_maj = np.linalg.norm(M[nearest_rows(M, C, 1)[:, 0]] - C, axis=1)
+    # per row, the 1-D norm: its result can differ in the last bit from the 2-D form's
+    dist_min = np.array([np.linalg.norm(c - s) for c, s in zip(C, S)])
+    return dist_min, dist_maj, dist_min <= dist_maj
 
 
 def regularization_accept(candidate: SyntheticSample, majority: Dataset) -> bool:
@@ -239,9 +251,9 @@ def regularization_accept(candidate: SyntheticSample, majority: Dataset) -> bool
     """
     if len(majority) == 0:
         raise ValueError("majority must be non-empty")
-    candidate.dist_maj = float(np.linalg.norm(majority.X - candidate.x, axis=1).min())
-    candidate.dist_min = float(np.linalg.norm(candidate.x - candidate.seed_x))
-    return candidate.dist_min <= candidate.dist_maj
+    dist_min, dist_maj, ok = _accept(np.atleast_2d(candidate.x), [candidate.seed_x], majority.X)
+    candidate.dist_min, candidate.dist_maj = float(dist_min[0]), float(dist_maj[0])
+    return bool(ok[0])
 
 
 def _entropy_filter(model, candidates, k: int):
@@ -271,27 +283,21 @@ def _oversample(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
     wheel = build_roulette(minority, majority, cfg.epsilon)
     target = math.ceil(cfg.candidate_multiplier * cfg.k)
     cap = cfg.effective_spin_cap
-    n_slots = min(cfg.k_neighbors, len(minority) - 1)
-    X, M = minority.X, majority.X
+    X = minority.X
     accepted = []
     spins = 0
     while len(accepted) < target and spins < cap:
         # Each spin accepts at most one candidate, so spinning one at a time
-        # would make every spin of this chunk too. Per spin the draws are
-        # smote_interpolate's: roulette uniform, neighbor slot, alpha.
+        # would make every spin of this chunk too.
         n = min(target - len(accepted), cap - spins)
-        seeds, slots, alphas = zip(*[(int(spin(wheel, 1, rng)[0]), int(rng.integers(0, n_slots)),
-                                      float(rng.uniform())) for _ in range(n)])
         spins += n
-        C, nb = smote_points(X, seeds, slots, alphas)
-        # regularization_accept's distances, with its arithmetic
-        dist_maj = np.linalg.norm(M[nearest_rows(M, C, 1)[:, 0]] - C, axis=1)
-        for x, s, j, a, d_maj in zip(C, seeds, nb, alphas, dist_maj):
-            d_min = float(np.linalg.norm(x - X[s]))
-            if d_min <= d_maj:
-                accepted.append(SyntheticSample(x=x, seed_index=s, neighbor_index=int(j),
-                                                alpha=a, seed_x=X[s], dist_min=d_min,
-                                                dist_maj=float(d_maj)))
+        C, seeds, nb, alphas = smote_points(X, n, cfg.k_neighbors, rng,
+                                            lambda: int(spin(wheel, 1, rng)[0]))
+        dist_min, dist_maj, ok = _accept(C, X[seeds], majority.X)
+        accepted += [SyntheticSample(x=C[i], seed_index=int(seeds[i]), neighbor_index=int(nb[i]),
+                                     alpha=float(alphas[i]), seed_x=X[seeds[i]],
+                                     dist_min=float(dist_min[i]), dist_maj=float(dist_maj[i]))
+                     for i in np.flatnonzero(ok)]
     retained = _entropy_filter(model, accepted, cfg.k) if accepted else []
     if stats is not None:
         stats.update(spins=spins, accepted=len(accepted), retained=len(retained))

@@ -11,22 +11,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .data import ClassPartition, Dataset, NEGATIVE, POSITIVE, RandomSource
-from .pruning import _BLOCK, smote_points
+from .data import ClassPartition, Dataset, POSITIVE, RandomSource
+from .pruning import nearest_rows, smote_points
 
 
 def _synthesize(minority: Dataset, seed_indices, k_neighbors: int, rng: RandomSource) -> Dataset:
     """Interpolated synthetics for the given seeds, drawing each seed's
-    neighbor slot and alpha in smote_interpolate's order; returns minority +
+    neighbor slot and alpha as smote_points does; returns minority +
     synthetics."""
-    if len(seed_indices) == 0:
-        return minority
-    n_slots = min(k_neighbors, len(minority) - 1)
-    slots, alphas = zip(*[(int(rng.integers(0, n_slots)), float(rng.uniform()))
-                          for _ in seed_indices])
-    rows = smote_points(minority.X, seed_indices, slots, alphas)[0]
+    rows = smote_points(minority.X, len(seed_indices), k_neighbors, rng,
+                        iter(seed_indices).__next__)[0]
     syn = Dataset(rows, np.full(len(rows), POSITIVE),
                   feature_names=minority.feature_names, source_tag=minority.source_tag)
     return minority.concat(syn)
@@ -47,14 +42,9 @@ def _majority_neighbor_counts(partition: ClassPartition, k_neighbors: int) -> np
     full dataset (excluding itself) belong to the majority class."""
     full = partition.majority.concat(partition.minority)
     m_off = len(partition.majority)
-    d = cdist(partition.minority.X, full.X)
-    counts = np.empty(len(partition.minority), dtype=int)
-    for i in range(len(partition.minority)):
-        order = np.argsort(d[i], kind="stable")
-        order = order[order != m_off + i]                 # drop self
-        nn = order[: min(k_neighbors, len(order))]
-        counts[i] = int(np.sum(nn < m_off))
-    return counts
+    self_pos = m_off + np.arange(len(partition.minority))
+    return (nearest_rows(full.X, partition.minority.X, k_neighbors, exclude=self_pos)
+            < m_off).sum(axis=1)
 
 
 def borderline_smote(partition: ClassPartition, n_new: int, k_neighbors: int,
@@ -103,13 +93,7 @@ def tomek_links(partition: ClassPartition) -> Dataset:
         raise ValueError("both classes must be non-empty")
     full = partition.majority.concat(partition.minority)
     m_off = len(partition.majority)
-    nn = np.empty(len(full), dtype=int)
-    rows = max(1, _BLOCK // len(full))
-    for lo in range(0, len(full), rows):
-        d = cdist(full.X[lo:lo + rows], full.X)
-        r = np.arange(len(d))
-        d[r, lo + r] = np.inf
-        nn[lo:lo + rows] = np.argmin(d, axis=1)  # argmin is index-ordered, so ties pick lower index
+    nn = nearest_rows(full.X, full.X, 1, exclude=np.arange(len(full)))[:, 0]
     b = nn[:m_off]                                # nearest neighbor of each majority row
     keep = np.ones(len(full), dtype=bool)
     keep[:m_off] = ~((b >= m_off) & (nn[b] == np.arange(m_off)))   # b in minority and mutual

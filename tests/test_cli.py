@@ -147,6 +147,31 @@ class TestRun:
             run_cli(["run", "--data", str(blob_csv), "--method", "bogus",
                      "--out", str(tmp_path / "o.json")])
 
+    def test_k_and_k_fraction_are_exclusive(self, blob_csv, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--data", str(blob_csv), "--k", "3", "--k-fraction", "0.5",
+                     "--out", str(out)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (("--k-fraction", "0"), "--k-fraction must be > 0"),
+        (("--k-fraction", "-1"), "--k-fraction must be > 0"),
+        (("--k-fraction", "nan"), "--k-fraction must be > 0"),
+        (("--k", "0"), "k must be None or >= 1"),
+        (("--k-neighbors", "0"), "k_neighbors must be >= 1"),
+    ])
+    def test_bad_k_values_error_in_one_line(self, blob_csv, tmp_path, capsys, extra, message):
+        out = tmp_path / "o.json"
+        code = run_cli(["run", "--data", str(blob_csv), "--method", "smote",
+                        "--replications", "2", *extra, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestCompareOverlap:
     def test_self_comparison_all_ties(self, blob_csv, tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Experiment-level degenerate cases: k-fold bounds, one-class test splits,
-determinism per seed and finite summaries on degenerate data."""
+"""Experiment-level degenerate cases: k-fold and k bounds, one-class test
+splits, determinism per seed and finite summaries on degenerate data."""
 
 import json
 import math
@@ -8,14 +8,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resmoteboost import (Dataset, ExperimentConfig, NEGATIVE, make_gaussian_blobs,
+from resmoteboost import (Dataset, ExperimentConfig, NEGATIVE, POSITIVE, make_gaussian_blobs,
                           run_experiment)
+from resmoteboost.experiment import DATA_LEVEL_METHODS
 
 
 @pytest.mark.parametrize("folds", [-2, 0, 1])
 def test_cv_folds_below_two_rejected(folds):
     with pytest.raises(ValueError, match="cv_folds must be None or >= 2"):
         ExperimentConfig(cv_folds=folds)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_rejected(k):
+    with pytest.raises(ValueError, match="k must be None or >= 1"):
+        ExperimentConfig(method="re_smoteboost", k=k)
+
+
+@pytest.mark.parametrize("k_neighbors", [0, -3])
+def test_k_neighbors_below_one_rejected(k_neighbors):
+    with pytest.raises(ValueError, match="k_neighbors must be >= 1"):
+        ExperimentConfig(method="smote", k_neighbors=k_neighbors)
 
 
 def test_cv_folds_above_smaller_class_rejected_before_any_fold():
@@ -52,10 +65,18 @@ def test_auc_summary_with_no_defined_value():
 
 
 STUMP_BOOSTING = ("re_smoteboost", "smoteboost", "rusboost", "plain_boost")
+LEARNERS = ("stump", "gnb", "knn")
 
 
 def _without_timing(report: dict) -> str:
     return json.dumps({k: v for k, v in report.items() if k != "timing"}, sort_keys=True)
+
+
+def _finite_or_undefined(report: dict):
+    for r in report["replications"]:
+        m = r["metrics"]
+        assert "auc" in m["undefined"] or math.isfinite(m["auc"])
+        assert "f1" in m["undefined"] or math.isfinite(m["positive_class"]["f1"])
 
 
 @settings(max_examples=24, deadline=None)
@@ -66,6 +87,42 @@ def test_stump_boosting_is_deterministic_per_seed(method, n_maj, n_min, d, data_
     data = make_gaussian_blobs(n_maj, n_min, d, 1.0, data_seed)
     cfg = ExperimentConfig(method=method, base_learner="stump", replications=2, seed=seed)
     assert _without_timing(run_experiment(data, cfg)) == _without_timing(run_experiment(data, cfg))
+
+
+@settings(max_examples=24, deadline=None)
+@given(method=st.sampled_from(STUMP_BOOSTING), learner=st.sampled_from(("gnb", "knn")),
+       n_maj=st.integers(20, 50), n_min=st.integers(5, 12), d=st.integers(1, 4),
+       data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**63 - 1))
+def test_gnb_and_knn_boosting_is_deterministic_per_seed(method, learner, n_maj, n_min, d,
+                                                        data_seed, seed):
+    data = make_gaussian_blobs(n_maj, n_min, d, 1.0, data_seed)
+    cfg = ExperimentConfig(method=method, base_learner=learner, replications=2, seed=seed)
+    assert _without_timing(run_experiment(data, cfg)) == _without_timing(run_experiment(data, cfg))
+
+
+@settings(max_examples=24, deadline=None)
+@given(method=st.sampled_from(DATA_LEVEL_METHODS), learner=st.sampled_from(LEARNERS),
+       n_maj=st.integers(20, 50), n_min=st.integers(5, 12), d=st.integers(1, 4),
+       data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**63 - 1))
+def test_data_level_methods_are_deterministic_per_seed(method, learner, n_maj, n_min, d,
+                                                       data_seed, seed):
+    data = make_gaussian_blobs(n_maj, n_min, d, 1.0, data_seed)
+    cfg = ExperimentConfig(method=method, base_learner=learner, replications=2, seed=seed)
+    assert _without_timing(run_experiment(data, cfg)) == _without_timing(run_experiment(data, cfg))
+
+
+@settings(max_examples=30, deadline=None)
+@given(method=st.sampled_from(STUMP_BOOSTING), learner=st.sampled_from(LEARNERS),
+       n_maj=st.integers(6, 40), d=st.integers(1, 3), data_seed=st.integers(0, 2**32 - 1),
+       seed=st.integers(0, 2**63 - 1))
+def test_two_row_training_minority_gives_finite_or_undefined_metrics(method, learner, n_maj, d,
+                                                                     data_seed, seed):
+    data = make_gaussian_blobs(n_maj, 3, d, 1.0, data_seed)   # 80/20 split: 2 train, 1 test
+    report = run_experiment(data, ExperimentConfig(method=method, base_learner=learner,
+                                                   replications=2, seed=seed))
+    for r in report["replications"]:
+        assert np.sum(data.y[r["test_indices"]] == POSITIVE) == 1
+    _finite_or_undefined(report)
 
 
 def _degenerate(case: str, seed: int) -> Dataset:
@@ -90,10 +147,8 @@ def test_stump_boosting_summaries_finite_on_degenerate_data(method, case, data_s
     report = run_experiment(data, ExperimentConfig(method=method, base_learner="stump",
                                                    replications=3, seed=seed))
     reps = report["replications"]
+    _finite_or_undefined(report)
     for key, name in (("auc", "auc"), ("positive_class.f1", "f1")):
-        for r in reps:
-            value = r["metrics"].get("auc") if name == "auc" else r["metrics"]["positive_class"]["f1"]
-            assert value is not None and math.isfinite(value) or name in r["metrics"]["undefined"]
         summary = report["summaries"][key]
         assert summary["mean"] is not None and math.isfinite(summary["mean"]) or all(
             name in r["metrics"]["undefined"] for r in reps)

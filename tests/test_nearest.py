@@ -2,9 +2,10 @@
 
 `nearest_rows` must return, row for row, the positions a full
 `np.argsort(np.linalg.norm(Q - p, axis=1), kind="stable")` returns, and every
-caller that moved onto it must reproduce the one-candidate-at-a-time loops it
-replaced: the same points bit for bit, the same statistics and the same
-random-number state afterwards.
+caller that moved onto it must reproduce the full-scan loops it replaced: the
+same points, distances and decisions bit for bit, the same statistics and the
+same random-number state afterwards. The oracles below keep the old code, so
+they share no helper with the code under test.
 """
 
 import math
@@ -16,9 +17,10 @@ from scipy.spatial.distance import cdist
 
 from resmoteboost import (ClassPartition, Dataset, KNNLearner, NEGATIVE, POSITIVE,
                           PruningConfig, RandomSource, SyntheticSample, build_roulette,
-                          fit_gnb, make_gaussian_blobs, regularization_accept, spin,
-                          tomek_links)
+                          fit_gnb, make_gaussian_blobs, regularization_accept,
+                          smote_interpolate, spin, tomek_links)
 from resmoteboost.pruning import _entropy_filter, _oversample, nearest_rows
+from resmoteboost.samplers import _majority_neighbor_counts
 
 
 def argsort_oracle(Q, P, k, exclude=None):
@@ -101,6 +103,13 @@ def old_smote_interpolate(seed, minority, seed_index, k_neighbors, rng):
                            alpha=alpha, seed_x=seed)
 
 
+def old_regularization_accept(candidate, majority):
+    """The full-scan acceptance test the candidate loop used to make."""
+    candidate.dist_maj = float(np.linalg.norm(majority.X - candidate.x, axis=1).min())
+    candidate.dist_min = float(np.linalg.norm(candidate.x - candidate.seed_x))
+    return candidate.dist_min <= candidate.dist_maj
+
+
 def oversample_oracle(majority, minority, cfg, model, rng, stats):
     """One spin, one candidate and one acceptance test at a time."""
     wheel = build_roulette(minority, majority, cfg.epsilon)
@@ -112,13 +121,88 @@ def oversample_oracle(majority, minority, cfg, model, rng, stats):
         spins += 1
         candidate = old_smote_interpolate(minority.X[seed_index], minority, seed_index,
                                           cfg.k_neighbors, rng)
-        if regularization_accept(candidate, majority):
+        if old_regularization_accept(candidate, majority):
             accepted.append(candidate)
     retained = _entropy_filter(model, accepted, cfg.k) if accepted else []
     stats.update(spins=spins, accepted=len(accepted), retained=len(retained))
     if retained:
         stats["synthetics"] = [c.to_json() for c in retained]
     return retained
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(("unit", "huge", "tiny", "grid", "duplicates")), n=st.integers(2, 25),
+       d=st.integers(1, 4), k_neighbors=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_smote_interpolate_matches_full_scan(kind, n, d, k_neighbors, seed):
+    rng = np.random.default_rng(seed)
+    minority = Dataset(make_rows(kind, n, d, rng), np.full(n, POSITIVE))
+    i = int(rng.integers(0, n))
+    rng_new, rng_old = RandomSource(seed), RandomSource(seed)
+    new = smote_interpolate(minority.X[i], minority, i, k_neighbors, rng_new)
+    old = old_smote_interpolate(minority.X[i], minority, i, k_neighbors, rng_old)
+    assert new.x.tobytes() == old.x.tobytes() and new.seed_x.tobytes() == old.seed_x.tobytes()
+    assert new.to_json() == old.to_json()
+    assert rng_new._gen.bit_generator.state == rng_old._gen.bit_generator.state
+
+
+class TestRegularizationAccept:
+    # squares near 1e154 overflow in the oracle's norms as in the full scan
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(KINDS), n=st.integers(1, 30), d=st.integers(1, 5),
+           mirror=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_scan(self, kind, n, d, mirror, seed):
+        rng = np.random.default_rng(seed)
+        M = make_rows(kind, n, d, rng)
+        rows = np.vstack([make_rows(kind, 3, d, rng), M[rng.integers(0, n, 3)]])
+        x, s = rows[rng.integers(0, len(rows), 2)]
+        if mirror:   # the seed as far from x as x's nearest majority row: a tie on grids
+            s = 2 * x - M[argsort_oracle(M, [x], 1)[0, 0]]
+        majority = Dataset(M, np.full(n, NEGATIVE))
+        new, old = (SyntheticSample(x=x.copy(), seed_index=0, neighbor_index=1, alpha=0.5,
+                                    seed_x=s.copy()) for _ in range(2))
+        assert regularization_accept(new, majority) == old_regularization_accept(old, majority)
+        assert np.float64(new.dist_min).tobytes() == np.float64(old.dist_min).tobytes()
+        assert np.float64(new.dist_maj).tobytes() == np.float64(old.dist_maj).tobytes()
+
+    def test_tie_accepts(self):
+        majority = Dataset(np.array([[2.0, 0.0], [0.0, 5.0]]), np.full(2, NEGATIVE))
+        c = SyntheticSample(x=np.zeros(2), seed_index=0, neighbor_index=1, alpha=0.5,
+                            seed_x=np.array([0.0, -2.0]))
+        assert regularization_accept(c, majority)
+        assert c.dist_min == c.dist_maj == 2.0
+
+
+def old_majority_neighbor_counts(partition, k_neighbors):
+    """The full-matrix count loop Borderline-SMOTE and ADASYN used to make."""
+    full = partition.majority.concat(partition.minority)
+    m_off = len(partition.majority)
+    d = cdist(partition.minority.X, full.X)
+    counts = np.empty(len(partition.minority), dtype=int)
+    for i in range(len(partition.minority)):
+        order = np.argsort(d[i], kind="stable")
+        order = order[order != m_off + i]                 # drop self
+        nn = order[: min(k_neighbors, len(order))]
+        counts[i] = int(np.sum(nn < m_off))
+    return counts
+
+
+class TestMajorityNeighborCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(("grid", "unit", "duplicates", "jitter")), n_maj=st.integers(1, 30),
+           n_min=st.integers(1, 30), d=st.integers(1, 4), k=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_old_loop(self, kind, n_maj, n_min, d, k, seed):
+        rng = np.random.default_rng(seed)
+        n_min = min(n_min, n_maj)
+        X = make_rows(kind, n_maj + n_min, d, rng)   # duplicate rows may span both classes
+        part = ClassPartition(majority=Dataset(X[:n_maj], np.full(n_maj, NEGATIVE)),
+                              minority=Dataset(X[n_maj:], np.full(n_min, POSITIVE)))
+        got = _majority_neighbor_counts(part, k)
+        if kind == "grid":       # cdist and norm are both exact on small integers
+            np.testing.assert_array_equal(got, old_majority_neighbor_counts(part, k))
+        nn = argsort_oracle(X, X[n_maj:], k, exclude=n_maj + np.arange(n_min))
+        np.testing.assert_array_equal(got, (nn < n_maj).sum(axis=1))
 
 
 def pools(kind: str, n_maj: int, n_min: int, d: int, seed: int):

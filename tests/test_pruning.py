@@ -170,6 +170,14 @@ class TestInterpolate:
         with pytest.raises(ValueError):
             smote_interpolate(minority.X[0], minority, 0, 5, RandomSource(0))
 
+    def test_seed_must_be_its_minority_row(self):
+        minority = Dataset(np.array([[0.0, 0.0], [2.0, 4.0], [1.0, 1.0]]), np.full(3, POSITIVE))
+        for seed in ([5.0, 5.0], minority.X[1], [0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="seed is not minority row 0"):
+                smote_interpolate(seed, minority, 0, 2, RandomSource(0))
+        s = smote_interpolate([0.0, 0.0], minority, 0, 2, RandomSource(0))
+        np.testing.assert_array_equal(s.seed_x, minority.X[0])
+
 
 class TestRegularizationAccept:
     def make(self, x, seed):
