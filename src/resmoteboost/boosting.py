@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, NEGATIVE, POSITIVE, RandomSource, partition_by_class
 from .entropy import fit_gnb, log_joint
-from .pruning import PruningConfig, nearest_rows, pruning_step, smote_points
+from .pruning import PruningConfig, _NeighbourLists, nearest_rows, pruning_step, smote_points
 
 _ALPHA_EPS = 1e-10  # clamp for zero training error
 
@@ -167,19 +167,26 @@ class KNNLearner:
         self._X = None
         self._y = None
         self._w = None
+        self.pool_keys = None   # pool row keys, set by fit_boosted for neighbour reuse
 
     def fit(self, X, y, w):
         self._X = np.asarray(X, dtype=float)
         self._y = np.asarray(y)
         self._w = np.asarray(w, dtype=float)
+        self.pool_keys = None
         return self
 
-    def score(self, X):
-        nn = nearest_rows(self._X, X, self.n_neighbors)
+    def score(self, X, lists=None):
+        """Signed weight sum of each row's neighbours; `lists` (optional)
+        carries the neighbour lists of the rows of X from earlier pools."""
+        if lists is None:
+            nn = nearest_rows(self._X, X, self.n_neighbors)
+        else:
+            nn = lists.nearest(self._X, self.pool_keys, self.n_neighbors)
         return (self._w[nn] * self._y[nn]).sum(axis=1)
 
-    def predict(self, X):
-        return np.where(self.score(X) > 0, POSITIVE, NEGATIVE)
+    def predict(self, X, lists=None):
+        return np.where(self.score(X, lists) > 0, POSITIVE, NEGATIVE)
 
     def params(self):
         return {"type": "knn", "n_neighbors": self.n_neighbors,
@@ -230,8 +237,9 @@ class BoostedEnsemble:
     def decision_function(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         margin = np.zeros(len(X))
+        lists = _NeighbourLists(X)   # k-NN members are searched against the previous one's pool
         for learner, alpha in zip(self.learners, self.alphas):
-            margin += alpha * learner.predict(X)
+            margin += alpha * _predict(learner, X, lists)
         return margin
 
     def predict(self, X):
@@ -261,6 +269,14 @@ class BoostedEnsemble:
     def load(cls, path):
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+def _predict(learner, X, lists):
+    """learner.predict(X); a k-NN learner takes its neighbours from `lists`,
+    the neighbour lists of the rows of X."""
+    if isinstance(learner, KNNLearner):
+        return learner.predict(X, lists)
+    return learner.predict(X)
 
 
 def _rebalance(train: Dataset, maj_idx, min_idx, syn_X, cfg: BoostConfig,
@@ -319,11 +335,18 @@ def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSo
     min_idx = np.flatnonzero(train.y == POSITIVE)
     fresh = (np.flatnonzero(train.y == NEGATIVE), np.empty((0, train.dimension)))
     maj_idx, syn_X = fresh
+    # Pool row keys rise with pool position and survive deletions: a train
+    # row's position in the first pool, N + a count for synthetics.
+    rank = np.empty(N, dtype=np.intp)
+    rank[np.concatenate([fresh[0], min_idx])] = np.arange(N)
+    syn_base = 0   # synthetics made before the ones in syn_X
+    train_lists = _NeighbourLists(train.X)
 
     learners, alphas, log = [], [], []
     for t in range(cfg.t_max):
         audit = {}
         if cfg.fresh_pools:
+            syn_base += len(syn_X)
             maj_idx, syn_X = fresh
         maj_idx, syn_X = _rebalance(train, maj_idx, min_idx, syn_X, cfg, rng, audit)
 
@@ -331,13 +354,16 @@ def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSo
         n_syn = len(syn_X)
         X_fit = np.vstack([train.X[orig_idx], syn_X])
         y_fit = np.concatenate([train.y[orig_idx], np.full(n_syn, POSITIVE)])
+        keys = np.concatenate([rank[orig_idx], N + syn_base + np.arange(n_syn)])
 
         learner = None
         for attempt in range(2):
             w_fit = np.concatenate([w[orig_idx], np.full(n_syn, 1.0 / N)])
             candidate = learner_factory()
             candidate.fit(X_fit, y_fit, w_fit / w_fit.sum())
-            pred = candidate.predict(train.X)
+            if isinstance(candidate, KNNLearner):
+                candidate.pool_keys = keys
+            pred = _predict(candidate, train.X, train_lists)
             err = float(w[pred != train.y].sum())
             if err < 0.5:
                 learner = candidate

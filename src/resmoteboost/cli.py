@@ -80,6 +80,18 @@ def _replication_csv_path(out_path: str) -> str:
     return stem + "_replications.csv"
 
 
+def _t_max(text: str):
+    if text == "heuristic":
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"--t-max must be 'heuristic' or an integer >= 1, got {text!r}")
+    return value
+
+
 def cmd_run(args) -> int:
     data = load_csv(args.data, args.label_column, args.positive_label)
     k = args.k
@@ -94,7 +106,7 @@ def cmd_run(args) -> int:
         base_learner=args.base,
         k=k,
         k_neighbors=args.k_neighbors,
-        t_max=args.t_max if args.t_max == "heuristic" else int(args.t_max),
+        t_max=_t_max(args.t_max),
         test_fraction=args.test_fraction,
         stratified=not args.no_stratify,
         replications=args.replications,

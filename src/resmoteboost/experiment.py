@@ -8,6 +8,7 @@ are aggregated across replications with mean and sample standard deviation.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -29,6 +30,10 @@ _REBALANCER_FOR = {"smoteboost": "smote", "rusboost": "random_under",
                    "re_smoteboost": "double_pruning", "plain_boost": "none"}
 
 
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     method: str = "none"
@@ -48,8 +53,19 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        make_learner_factory(self.base_learner)   # raises for an unknown learner
+        if not _integer(self.replications) or self.replications < 1:
+            raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
+        if self.t_max != "heuristic" and (not _integer(self.t_max) or self.t_max < 1):
+            raise ValueError(f"t_max must be 'heuristic' or an integer >= 1, got {self.t_max!r}")
+        for name in ("k", "k_neighbors", "cv_folds"):
+            value = getattr(self, name)
+            if value is not None and not _integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # numpy integers become ints, so the report serialises as JSON
+        for name in ("replications", "t_max", "k", "k_neighbors", "cv_folds"):
+            if _integer(getattr(self, name)):
+                setattr(self, name, int(getattr(self, name)))
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be None or >= 1, got {self.k}")
         if self.k_neighbors < 1:
@@ -93,10 +109,7 @@ def _boost_config(train: Dataset, cfg: ExperimentConfig) -> BoostConfig:
     part = partition_by_class(train)
     n_maj, n_min = len(part.majority), len(part.minority)
     k = cfg.k if cfg.k is not None else default_k(n_maj, n_min)
-    if cfg.t_max == "heuristic":
-        t_max = heuristic_tmax(n_maj, n_min, k)
-    else:
-        t_max = int(cfg.t_max)
+    t_max = heuristic_tmax(n_maj, n_min, k) if cfg.t_max == "heuristic" else cfg.t_max
     return BoostConfig(
         t_max=t_max,
         k=k,

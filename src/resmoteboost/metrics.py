@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import Dataset, NEGATIVE, POSITIVE
 
@@ -127,6 +126,18 @@ def binary_metrics(cm: ConfusionMatrix) -> MetricReport:
     )
 
 
+def _average_ranks(x):
+    """1-based ranks of x, tied values sharing the mean of their ranks (an
+    exact half-integer, as scipy.stats.rankdata(x, method="average") gives)."""
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    start = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+    end = np.append(start[1:], len(x))
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(0.5 * (start + end + 1), end - start)
+    return ranks
+
+
 def roc_auc(scores, truth) -> float:
     """Rank-based AUC (Mann-Whitney); ties contribute one half."""
     scores = np.asarray(scores, dtype=float)
@@ -136,7 +147,9 @@ def roc_auc(scores, truth) -> float:
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc needs both classes in truth")
-    ranks = rankdata(scores, method="average")
+    if np.isnan(scores).any():
+        raise ValueError("roc_auc scores must not be NaN")
+    ranks = _average_ranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 

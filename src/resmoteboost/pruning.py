@@ -202,6 +202,120 @@ def nearest_rows(Q, P, k: int, exclude=None) -> np.ndarray:
     return out
 
 
+class _NeighbourLists:
+    """Exact nearest_rows(P, Q, k) answers for fixed query rows Q while the
+    pool P changes only by deleting rows and appending rows.
+
+    Each pool row carries an integer key: keys rise with position, a row
+    keeps its key while it stays in the pool, and appended rows get keys
+    above every earlier one. Then ordering a query's pool rows by (distance,
+    key) is nearest_rows' (distance, position) order, with the same
+    np.linalg.norm distances. A query keeps the head of that order, up to
+    2k entries, and its bound: the 2k-th distance the last time the list
+    held 2k entries (inf before). A deletion leaves the list a head of the
+    order. An appended row, whose key is larger than any the list ranked
+    against, belongs in it only if strictly nearer than the bound. Queries
+    left with fewer than k entries are searched again; so is everything
+    when the pool is not the previous one minus some rows plus a tail of
+    larger keys.
+    """
+
+    def __init__(self, Q):
+        self.Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        self.keys = None   # pool keys at the last update; None: nothing kept
+
+    def nearest(self, P, keys, k: int) -> np.ndarray:
+        """nearest_rows(P, self.Q, k) for the pool P whose rows carry the
+        non-negative `keys`; keys that are None or not rising search in full
+        and keep nothing. P is kept to check the next pool against, so it
+        must not be modified in place."""
+        P = np.asarray(P, dtype=float)
+        if keys is None or min(k, len(P)) < 1 or np.any(np.diff(keys) <= 0):
+            self.keys = None
+            return nearest_rows(P, self.Q, k)
+        keys, prev = np.asarray(keys), self.keys
+        reusable = prev is not None and k <= self.depth
+        if reusable:   # the kept keys must still name the rows they named before
+            tail = np.searchsorted(keys, prev[-1], side="right")
+            at = np.searchsorted(prev, keys[:tail])
+            reusable = (np.array_equal(prev[at], keys[:tail])
+                        and np.array_equal(self.P[at], P[:tail]))
+        if reusable:
+            self._update(P, keys, tail)
+            self._fill(P, keys, np.flatnonzero(self.count < min(k, len(P))))
+        else:
+            # per query: neighbour keys and distances in order, padded with
+            # -1 and inf; the entry count; the bound
+            self.depth = 2 * k
+            self.nb_k = np.full((len(self.Q), self.depth), -1, dtype=keys.dtype)
+            self.nb_d = np.full((len(self.Q), self.depth), np.inf)
+            self.count = np.zeros(len(self.Q), dtype=np.intp)
+            self.bound = np.full(len(self.Q), np.inf)
+            self._fill(P, keys, np.arange(len(self.Q)))
+        self.keys, self.P = keys, P
+        return _position(keys, keys[-1])[self.nb_k[:, :min(k, len(P))]]
+
+    def _fill(self, P, keys, rows):
+        """Search the lists of query rows `rows` in full."""
+        if len(rows) == 0:
+            return
+        nn = nearest_rows(P, self.Q[rows], self.depth)
+        n = nn.shape[1]
+        self.nb_k[rows] = -1
+        self.nb_d[rows] = np.inf
+        self.nb_k[rows, :n] = keys[nn]
+        self.nb_d[rows, :n] = _pair_distances(P, self.Q, nn.ravel(), np.repeat(rows, n)
+                                              ).reshape(nn.shape)
+        self.count[rows] = n
+        self.bound[rows] = self.nb_d[rows, -1]   # inf while the pool is smaller than the list
+
+    def _update(self, P, keys, tail):
+        """Drop the deleted rows from every list, then merge in the rows
+        appended at positions tail.. that are strictly nearer than the bound."""
+        D, n_app = self.depth, len(P) - tail
+        alive = _position(keys, max(keys[-1], self.keys[-1]))[self.nb_k] >= 0
+        d_app = _pair_distances(P, self.Q, np.tile(np.arange(tail, len(P)), len(self.Q)),
+                                np.repeat(np.arange(len(self.Q)), n_app)
+                                ).reshape(len(self.Q), n_app)
+        admit = d_app < self.bound[:, None]
+        n_alive = alive.sum(axis=1)
+        rows = np.flatnonzero((n_alive < self.count) | admit.any(axis=1))
+        if len(rows) == 0:
+            return
+        # NaN sorts after every distance, inf included; a stable sort keeps
+        # equal distances in key order: the list's entries, then the appended rows
+        d = np.concatenate([np.where(alive[rows], self.nb_d[rows], np.nan),
+                            np.where(admit[rows], d_app[rows], np.nan)], axis=1)
+        key = np.concatenate([self.nb_k[rows],
+                              np.broadcast_to(keys[tail:], (len(rows), n_app))], axis=1)
+        order = np.argsort(d, axis=1, kind="stable")[:, :D]
+        count = np.minimum(n_alive[rows] + admit[rows].sum(axis=1), D)
+        empty = np.arange(D) >= count[:, None]
+        self.nb_d[rows] = np.where(empty, np.inf, np.take_along_axis(d, order, axis=1))
+        self.nb_k[rows] = np.where(empty, -1, np.take_along_axis(key, order, axis=1))
+        self.count[rows] = count
+        full = rows[count == D]   # a list of all 2k entries is a fresh fill
+        self.bound[full] = self.nb_d[full, -1]
+
+
+def _position(keys, top):
+    """Pool position by key for keys up to `top`; -1 for a key not in the
+    pool and for the padding key -1."""
+    position = np.full(top + 2, -1, dtype=np.intp)
+    position[keys] = np.arange(len(keys))
+    return position
+
+
+def _pair_distances(P, Q, j, i) -> np.ndarray:
+    """np.linalg.norm(P[j] - Q[i], axis=1), the distance form of nearest_rows,
+    _BLOCK pairs at a time."""
+    out = np.empty(len(j))
+    for lo in range(0, len(j), _BLOCK):
+        s = slice(lo, lo + _BLOCK)
+        out[s] = np.linalg.norm(P[j[s]] - Q[i[s]], axis=1)
+    return out
+
+
 def smote_points(X, n: int, k_neighbors: int, rng: RandomSource, draw_seed):
     """n SMOTE points from the rows of X: row i is X[s] + alpha * (X[nb] - X[s]),
     where nb is a uniformly drawn one of the min(k_neighbors, len(X) - 1)

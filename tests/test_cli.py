@@ -173,6 +173,24 @@ class TestRun:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("method", ["re_smoteboost", "smote"])
+    @pytest.mark.parametrize("extra, message", [
+        (("--t-max", "abc"), "error: --t-max must be 'heuristic' or an integer >= 1, got 'abc'"),
+        (("--t-max", "0"), "error: --t-max must be 'heuristic' or an integer >= 1, got '0'"),
+        (("--t-max", "2.5"), "error: --t-max must be"),
+        (("--replications", "0"), "error: replications must be an integer >= 1, got 0"),
+    ])
+    def test_bad_rounds_and_replications_error_in_one_line(self, blob_csv, tmp_path, capsys,
+                                                           method, extra, message):
+        out = tmp_path / "o.json"
+        code = run_cli(["run", "--data", str(blob_csv), "--method", method,
+                        "--replications", "2", *extra, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestCompareOverlap:
     def test_self_comparison_all_ties(self, blob_csv, tmp_path, capsys):
         out = tmp_path / "overlap.json"

@@ -3,14 +3,17 @@ splits, determinism per seed and finite summaries on degenerate data."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resmoteboost import (Dataset, ExperimentConfig, NEGATIVE, POSITIVE, make_gaussian_blobs,
-                          run_experiment)
-from resmoteboost.experiment import DATA_LEVEL_METHODS
+from resmoteboost import (Dataset, ExperimentConfig, NEGATIVE, POSITIVE, RandomSource, SplitSpec,
+                          make_gaussian_blobs, mix_seed, run_experiment, run_replication,
+                          split_indices)
+from resmoteboost.boosting import LEARNER_TYPES
+from resmoteboost.experiment import DATA_LEVEL_METHODS, METHODS, _fold_indices
 
 
 @pytest.mark.parametrize("folds", [-2, 0, 1])
@@ -29,6 +32,35 @@ def test_k_below_one_rejected(k):
 def test_k_neighbors_below_one_rejected(k_neighbors):
     with pytest.raises(ValueError, match="k_neighbors must be >= 1"):
         ExperimentConfig(method="smote", k_neighbors=k_neighbors)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"method": "re_smoteboost", "base_learner": "bogus"}, "unknown base learner 'bogus'"),
+    ({"method": "smote", "base_learner": "bogus"}, "unknown base learner 'bogus'"),
+    ({"method": "re_smoteboost", "t_max": 0}, "t_max must be 'heuristic' or an integer >= 1"),
+    ({"method": "re_smoteboost", "t_max": "abc"}, "t_max must be 'heuristic' or an integer"),
+    ({"method": "re_smoteboost", "t_max": 2.5}, "t_max must be 'heuristic' or an integer"),
+    ({"method": "re_smoteboost", "t_max": True}, "t_max must be 'heuristic' or an integer"),
+    ({"method": "smote", "t_max": 0}, "t_max must be 'heuristic' or an integer >= 1"),
+    ({"replications": 0}, "replications must be an integer >= 1"),
+    ({"replications": 2.5}, "replications must be an integer >= 1, got 2.5"),
+    ({"replications": True}, "replications must be an integer >= 1"),
+    ({"method": "re_smoteboost", "k": 2.5}, "k must be an integer, got 2.5"),
+    ({"method": "smote", "k_neighbors": 2.5}, "k_neighbors must be an integer, got 2.5"),
+    ({"method": "smote", "cv_folds": 2.5}, "cv_folds must be an integer, got 2.5"),
+])
+def test_bad_learner_rounds_and_replications_rejected_at_construction(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(**kwargs)
+
+
+def test_numpy_integer_options_accepted():
+    data = make_gaussian_blobs(30, 10, 2, 1.5, 0)
+    cfg = ExperimentConfig(method="rusboost", t_max=np.int64(2), replications=np.int64(2),
+                           k=np.int64(3), k_neighbors=np.int32(4))
+    report = run_experiment(data, cfg)
+    assert [r["model"]["t_max"] for r in report["replications"]] == [2, 2]
+    json.dumps(report)   # no numpy scalar left in the report
 
 
 def test_cv_folds_above_smaller_class_rejected_before_any_fold():
@@ -153,3 +185,59 @@ def test_stump_boosting_summaries_finite_on_degenerate_data(method, case, data_s
         assert summary["mean"] is not None and math.isfinite(summary["mean"]) or all(
             name in r["metrics"]["undefined"] for r in reps)
         assert summary["std_dev"] is None or math.isfinite(summary["std_dev"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_maj=st.integers(30, 80), n_min=st.integers(4, 20), sep=st.sampled_from([0.5, 1.5, 6.0]),
+       k=st.integers(1, 6), data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**63 - 1))
+def test_balance_law_on_rounds_below_the_spin_cap(n_maj, n_min, sep, k, data_seed, seed):
+    data = make_gaussian_blobs(n_maj, n_min, 2, sep, data_seed)
+    report = run_experiment(data, ExperimentConfig(method="re_smoteboost", k=k, replications=2,
+                                                   seed=seed))
+    for r in report["replications"]:
+        test_y = data.y[r["test_indices"]]
+        majority = n_maj - int(np.sum(test_y == NEGATIVE))
+        minority = n_min - int(np.sum(test_y == POSITIVE))
+        for entry in r["model"]["training_log"]:
+            k_eff = min(k, majority - 1)
+            audit = entry["rebalance"]
+            assert entry["n_majority"] == majority - k_eff
+            assert entry["n_minority"] == minority + audit["retained"]
+            if audit["spins"] < 50 * k_eff:   # the cap never stopped the candidate loop
+                assert audit["accepted"] >= 2 * k_eff
+                assert audit["retained"] == k_eff   # the gap closes by exactly 2k
+            majority, minority = entry["n_majority"], entry["n_minority"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(method=st.sampled_from(METHODS), learner=st.sampled_from(LEARNERS), cv=st.booleans(),
+       n_maj=st.integers(20, 50), n_min=st.integers(6, 12), data_seed=st.integers(0, 2**32 - 1),
+       seed=st.integers(0, 2**63 - 1))
+def test_test_split_never_reaches_training(method, learner, cv, n_maj, n_min, data_seed, seed):
+    data = make_gaussian_blobs(n_maj, n_min, 2, 1.0, data_seed)   # distinct rows
+    cfg = ExperimentConfig(method=method, base_learner=learner, replications=2, seed=seed,
+                           cv_folds=3 if cv else None)
+    fitted = []
+
+    class Recording(LEARNER_TYPES[learner]):
+        def fit(self, X, y, w):
+            fitted.append(np.array(X))
+            return super().fit(X, y, w)
+
+    for i in range(2):
+        fitted.clear()
+        capture = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(LEARNER_TYPES, learner, Recording)
+            r = run_replication(data, cfg, i, capture=capture)
+        seed_i = mix_seed(seed, i)
+        if cv:
+            test_idx = _fold_indices(data, 3, seed, i)[1]
+        else:
+            spec = SplitSpec(train_fraction=0.8, stratified=True, seed=seed_i)
+            test_idx = split_indices(data, spec, RandomSource(seed_i))[1]
+        assert r["test_indices"] == test_idx.tolist()
+        test_rows = {row.tobytes() for row in data.X[test_idx]}
+        assert fitted
+        for X in fitted + [capture["X"]]:
+            assert not any(row.tobytes() in test_rows for row in X)

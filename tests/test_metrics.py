@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
 from resmoteboost import (
     ConfusionMatrix,
@@ -18,6 +24,8 @@ from resmoteboost import (
     replication_stats,
     roc_auc,
 )
+import resmoteboost
+from resmoteboost.metrics import _average_ranks
 
 
 def brute_force_auc(scores, truth):
@@ -89,6 +97,43 @@ class TestBinaryMetrics:
     def test_empty_matrix(self):
         with pytest.raises(ValueError):
             binary_metrics(ConfusionMatrix(0, 0, 0, 0))
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -1e300, math.inf, -math.inf])
+SCORES = st.lists(SPECIAL | st.floats(allow_nan=False) | st.integers(-3, 3).map(float),
+                  min_size=2, max_size=40)
+
+
+class TestAverageRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(values=SCORES)
+    def test_match_rankdata_bitwise(self, values):
+        x = np.array(values)
+        assert _average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=SCORES, data=st.data())
+    def test_auc_matches_the_rankdata_formula_bitwise(self, values, data):
+        scores = np.array(values)
+        truth = np.array(data.draw(st.lists(st.sampled_from([POSITIVE, NEGATIVE]),
+                                            min_size=len(values), max_size=len(values))))
+        truth[:2] = [POSITIVE, NEGATIVE]
+        pos = truth == POSITIVE
+        n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+        ranks = rankdata(scores, method="average")
+        expected = float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+        assert roc_auc(scores, truth) == expected
+
+    def test_nan_scores_rejected(self):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            roc_auc([0.1, math.nan, 0.3], [POSITIVE, NEGATIVE, NEGATIVE])
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, resmoteboost; print('scipy.stats' in sys.modules)"
+        src = str(Path(resmoteboost.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "False"
 
 
 class TestRocAuc:

@@ -1,0 +1,161 @@
+"""Neighbour lists carried across pools that lose rows and gain appended rows.
+
+`_NeighbourLists.nearest(P, keys, k)` must return exactly `nearest_rows(P, Q,
+k)` after any sequence of deletions and appends, and boosting with k-NN must
+give the same reports, ensembles and margins as a full search per round and
+per member.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from resmoteboost import (BoostConfig, BoostedEnsemble, Dataset, ExperimentConfig, KNNLearner,
+                          NEGATIVE, POSITIVE, RandomSource, fit_boosted, make_gaussian_blobs,
+                          run_experiment)
+from resmoteboost import pruning
+from resmoteboost.pruning import _NeighbourLists, nearest_rows
+
+from test_nearest import KINDS, make_rows
+
+
+def grid_with_duplicates(seed: int, n_maj: int = 60, n_min: int = 24) -> Dataset:
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.integers(0, 4, size=(n_maj, 3)), rng.integers(2, 6, size=(n_min, 3))])
+    y = np.concatenate([np.full(n_maj, NEGATIVE), np.full(n_min, POSITIVE)])
+    return Dataset(X.astype(float), y)
+
+
+class TestAgainstFullSearch:
+    # squares near 1e154 overflow in the distances as in the full search
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    # integer grids, where distances tie with the bound, are drawn most often
+    @given(kind=st.sampled_from(KINDS + ("grid",) * 4), n0=st.integers(0, 30),
+           n_q=st.integers(1, 12), d=st.integers(1, 4), k=st.integers(1, 8),
+           steps=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_delete_and_append_sequences(self, kind, n0, n_q, d, k, steps, seed):
+        rng = np.random.default_rng(seed)
+        P = make_rows(kind, n0, d, rng)
+        keys = np.cumsum(rng.integers(1, 3, size=n0))   # rising, with gaps
+        next_key = keys.max(initial=0) + 1
+        # queries: rows of the pool (duplicates of it) and fresh rows
+        Q = np.vstack([P[rng.integers(0, n0, size=n_q // 2)] if n0 else np.empty((0, d)),
+                       make_rows(kind, n_q - (n_q // 2 if n0 else 0), d, rng)])
+        lists = _NeighbourLists(Q)
+        for _ in range(steps):
+            got = lists.nearest(P, keys, k)
+            want = nearest_rows(P, Q, k)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            # delete none, some or most rows, then append a few above every key
+            kept = rng.random(len(P)) >= rng.choice([0.0, 0.1, 0.3, 0.9])
+            n_new = int(rng.integers(0, 6))
+            P = np.vstack([P[kept], make_rows(kind, n_new, d, rng)])
+            keys = np.concatenate([keys[kept], next_key + np.arange(n_new)])
+            next_key += n_new
+            if rng.random() < 0.15:     # every row new, keys in any order
+                keys = next_key + rng.permutation(len(P))
+                next_key += len(P)
+            if rng.random() < 0.1 and len(P):   # a row changed under its old key
+                P[rng.integers(0, len(P))] = make_rows(kind, 1, d, rng)
+            if rng.random() < 0.1:      # a different k; beyond the kept depth it searches anew
+                k = int(rng.integers(1, 12))
+
+    def test_appended_row_tying_the_bound_waits_behind_unlisted_rows(self):
+        # k = 1 keeps 2 entries: keys 0 (distance 1) and 1 (distance 2), bound 2;
+        # key 2, also at distance 2, is unlisted
+        Q = np.array([[0.0]])
+        lists = _NeighbourLists(Q)
+        P, keys = np.array([[1.0], [2.0], [2.0]]), np.array([0, 1, 2])
+        np.testing.assert_array_equal(lists.nearest(P, keys, 1), [[0]])
+        # delete key 1 and append key 3 at distance 2: it goes after key 2
+        P, keys = np.array([[1.0], [2.0], [2.0]]), np.array([0, 2, 3])
+        np.testing.assert_array_equal(lists.nearest(P, keys, 1), [[0]])
+        P, keys = np.array([[2.0], [2.0]]), np.array([2, 3])
+        np.testing.assert_array_equal(lists.nearest(P, keys, 1), [[0]])
+
+    def test_bound_outlives_deletions(self):
+        # keys 0, 1 kept with bound 2; deleting key 1 leaves one entry and the
+        # bound 2, so a row appended at 3.5 stays out while key 2 (at 3) is unlisted
+        Q = np.array([[0.0]])
+        lists = _NeighbourLists(Q)
+        lists.nearest(np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 2]), 1)
+        lists.nearest(np.array([[1.0], [3.0]]), np.array([0, 2]), 1)
+        lists.nearest(np.array([[1.0], [3.0], [3.5]]), np.array([0, 2, 3]), 1)
+        np.testing.assert_array_equal(
+            lists.nearest(np.array([[3.0], [3.5]]), np.array([2, 3]), 1), [[0]])
+
+    def test_without_keys_nothing_is_kept(self):
+        Q = np.array([[0.0], [5.0]])
+        P = np.array([[1.0], [4.0], [6.0]])
+        lists = _NeighbourLists(Q)
+        np.testing.assert_array_equal(lists.nearest(P, None, 2), nearest_rows(P, Q, 2))
+        assert lists.keys is None
+        assert lists.nearest(P[:0], np.array([], dtype=int), 2).shape == (2, 0)
+
+
+class SearchCounter:
+    """Counts nearest_rows calls made through the neighbour lists."""
+
+    def __init__(self, monkeypatch):
+        self.queries = []
+        real = pruning.nearest_rows
+
+        def counting(Q, P, k, exclude=None):
+            self.queries.append(len(np.atleast_2d(P)))
+            return real(Q, P, k, exclude)
+        monkeypatch.setattr(pruning, "nearest_rows", counting)
+
+
+def test_plain_boost_searches_the_training_rows_once(monkeypatch):
+    counter = SearchCounter(monkeypatch)
+    data = grid_with_duplicates(1)
+    ens = fit_boosted(data, BoostConfig(t_max=6, rebalancer="none"), KNNLearner, RandomSource(0))
+    assert len(ens.learners) > 1
+    assert counter.queries == [len(data)]
+    ens.decision_function(data.X[:17])
+    assert counter.queries == [len(data), 17]
+
+
+def test_plain_boost_experiment_searches_once_per_side_and_replication(monkeypatch):
+    counter = SearchCounter(monkeypatch)
+    data = grid_with_duplicates(2)
+    report = run_experiment(data, ExperimentConfig(method="plain_boost", base_learner="knn",
+                                                   t_max=5, replications=3, seed=4))
+    train = len(data) - len(report["replications"][0]["test_indices"])
+    assert counter.queries == [train, len(data) - train] * 3
+
+
+@pytest.mark.parametrize("rebalancer", ["double_pruning", "smote", "random_under"])
+@pytest.mark.parametrize("fresh", [False, True])
+def test_loaded_ensemble_margin_is_bitwise_equal(rebalancer, fresh):
+    data = grid_with_duplicates(3)
+    cfg = BoostConfig(t_max=6, k=5, rebalancer=rebalancer, fresh_pools=fresh)
+    ens = fit_boosted(data, cfg, KNNLearner, RandomSource(9))
+    X = np.vstack([data.X, np.random.default_rng(0).integers(0, 6, size=(30, 3))])
+    loaded = BoostedEnsemble.from_json(ens.to_json())
+    assert all(learner.pool_keys is None for learner in loaded.learners)
+    assert loaded.decision_function(X).tobytes() == ens.decision_function(X).tobytes()
+
+
+def _full_search(self, P, keys, k):
+    return nearest_rows(P, self.Q, k)
+
+
+@settings(max_examples=20, deadline=None)
+@given(method=st.sampled_from(["re_smoteboost", "smoteboost", "rusboost", "plain_boost"]),
+       grid=st.booleans(), fresh=st.booleans(), n_maj=st.integers(25, 60),
+       n_min=st.integers(4, 15), data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32))
+def test_reports_equal_a_full_search_every_round(method, grid, fresh, n_maj, n_min, data_seed,
+                                                 seed):
+    data = (grid_with_duplicates(data_seed, n_maj, n_min) if grid
+            else make_gaussian_blobs(n_maj, n_min, 2, 1.0, data_seed))
+    cfg = ExperimentConfig(method=method, base_learner="knn", replications=2, seed=seed,
+                           fresh_pools=fresh)
+    carried = run_experiment(data, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_NeighbourLists, "nearest", _full_search)
+        full = run_experiment(data, cfg)
+    carried.pop("timing"), full.pop("timing")
+    assert carried == full
