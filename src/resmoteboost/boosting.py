@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, NEGATIVE, POSITIVE, RandomSource, partition_by_class
+from .data import Dataset, NEGATIVE, POSITIVE, RandomSource, _integer, partition_by_class
 from .entropy import fit_gnb, log_joint
 from .pruning import PruningConfig, _NeighbourLists, nearest_rows, pruning_step, smote_points
 
@@ -219,8 +219,16 @@ class BoostConfig:
     fresh_pools: bool = False    # re-derive pools from the original train set each round
 
     def __post_init__(self):
+        for name in ("t_max", "k"):
+            if not _integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
+        if self.k < 0:
+            raise ValueError(f"k must be >= 0, got {self.k}")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate!r}")
         if self.rebalancer not in ("none", "double_pruning", "smote", "random_under"):
             raise ValueError(f"unknown rebalancer {self.rebalancer!r}")
         if self.rebalancer == "double_pruning" and self.pruning is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +33,11 @@ def mix_seed(base_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * _SM64_M1) & _U64
     z = ((z ^ (z >> 27)) * _SM64_M2) & _U64
     return z ^ (z >> 31)
+
+
+def _integer(value) -> bool:
+    """An integer option: any integral number (numpy's too) but a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class RandomSource:

@@ -8,14 +8,13 @@ are aggregated across replications with mean and sample standard deviation.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boosting import BoostConfig, fit_boosted, heuristic_tmax, make_learner_factory
-from .data import (Dataset, NEGATIVE, POSITIVE, RandomSource, SplitSpec, mix_seed,
+from .data import (Dataset, NEGATIVE, POSITIVE, RandomSource, SplitSpec, _integer, mix_seed,
                    partition_by_class, split_indices)
 from .metrics import binary_metrics, confusion, replication_stats, roc_auc
 from .pruning import PruningConfig
@@ -28,10 +27,6 @@ METHODS = DATA_LEVEL_METHODS + BOOSTING_METHODS
 
 _REBALANCER_FOR = {"smoteboost": "smote", "rusboost": "random_under",
                    "re_smoteboost": "double_pruning", "plain_boost": "none"}
-
-
-def _integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass

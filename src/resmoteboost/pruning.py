@@ -18,12 +18,13 @@ given RandomSource.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import Dataset, POSITIVE, RandomSource
+from .data import Dataset, POSITIVE, RandomSource, _integer
 from .entropy import entropy_batch, fit_gnb, posterior_batch
 
 _BLOCK = 1 << 14   # distance-matrix entries computed at a time
@@ -38,14 +39,19 @@ class PruningConfig:
     epsilon: float = 1e-12              # guard for zero roulette distances
 
     def __post_init__(self):
+        for name in ("k", "k_neighbors", "spin_cap"):
+            value = getattr(self, name)
+            if not _integer(value) and not (name == "spin_cap" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 0:
             raise ValueError("k must be >= 0")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
-        if self.candidate_multiplier < 1.0:
-            raise ValueError("candidate_multiplier must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not math.isfinite(self.candidate_multiplier) or self.candidate_multiplier < 1.0:
+            raise ValueError(f"candidate_multiplier must be finite and >= 1, "
+                             f"got {self.candidate_multiplier!r}")
+        if not math.isfinite(self.epsilon) or self.epsilon <= 0:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if self.spin_cap is not None and self.spin_cap < self.k:
             raise ValueError("spin_cap must be >= k")
 
@@ -63,9 +69,11 @@ class RouletteWheel:
     cumulative: np.ndarray     # non-decreasing, last element ~ 1
 
     def __post_init__(self):
-        if abs(float(self.probabilities.sum()) - 1.0) > 1e-9:
+        # written so that NaN fails every check
+        if not abs(float(self.probabilities.sum()) - 1.0) <= 1e-9:
             raise ValueError("selection probabilities must sum to 1")
-        if np.any(np.diff(self.cumulative) < 0) or abs(float(self.cumulative[-1]) - 1.0) > 1e-9:
+        if (not np.all(np.diff(self.cumulative) >= 0)
+                or not abs(float(self.cumulative[-1]) - 1.0) <= 1e-9):
             raise ValueError("cumulative probabilities must be sorted and end at 1")
 
 
@@ -143,9 +151,130 @@ def spin(wheel: RouletteWheel, n_draws: int, rng: RandomSource) -> np.ndarray:
     """Draw n seed indices with repetition; r in bucket [q_{i-1}, q_i) selects i."""
     if n_draws == 0:
         return np.empty(0, dtype=int)
-    r = np.atleast_1d(rng.uniform(size=n_draws))
+    return _select(wheel, np.atleast_1d(rng.uniform(size=n_draws)))
+
+
+def _select(wheel: RouletteWheel, r):
+    """The seed indices the uniforms r select on `wheel`."""
     idx = np.searchsorted(wheel.cumulative, r, side="right")
     return wheel.seed_indices[np.minimum(idx, len(wheel.seed_indices) - 1)]
+
+
+_U = 2.0 ** -53   # unit roundoff of a double
+
+
+def _roulette_sums(X, Y):
+    """(sums, bounds): per row of X, its summed L1 distance to the rows of Y,
+    from sorted centred columns of Y and their prefix sums, and a bound on
+    its distance from build_roulette's cdist value.
+
+    Each column of Y is sorted and centred on its middle element c. A row's
+    centred value a splits the column at p = searchsorted(z, a, "right"),
+    so its summed distance is (p a - H) + ((T - H) - (n - p) a), with H the
+    prefix sum of the p values z below the split and T the column total.
+    """
+    n, d = Y.shape
+    Z = np.sort(Y, axis=0)
+    c = Z[n // 2].copy()
+    Z -= c                      # t -> fl(t - c) is monotone: columns stay sorted
+    A = X - c
+    P = np.zeros((n + 1, d))
+    np.cumsum(Z, axis=0, out=P[1:])
+    sums = np.zeros(len(X))
+    with np.errstate(invalid="ignore", over="ignore"):   # non-finite sums fall back
+        for j in range(d):
+            a = A[:, j]
+            p = np.searchsorted(Z[:, j], a, side="right")
+            H = P[p, j]
+            sums += (p * a - H) + ((P[n, j] - H) - (n - p) * a)
+        W = n * np.abs(A).sum(axis=1) + np.abs(Z).sum()
+    # Error bound, with u = 2^-53 and gamma_q = q u / (1 - q u), against the
+    # exact sum D = sum_j sum_i |x_j - y_ij|. Writing w_j = n |a_j| +
+    # sum_i |z_ij| for column j and W = sum_j w_j:
+    # - centring: a = (x - c)(1 + t) and z = (y - c)(1 + t') with |t|, |t'| <= u,
+    #   so sum |a - z| is within u/(1 - u) W of sum |x - y| (a sum or
+    #   difference of doubles landing below 2^-1022 is exact, so these
+    #   relative errors hold there too);
+    # - one column: H and T come from sequential sums, each within
+    #   gamma_{n-1} sum_i |z_i| of its exact value, and enter three times; the
+    #   six remaining operations each round a result of size at most 2 w_j.
+    #   So the column term is within gamma_{3n+9} w_j of sum_i |a - z_i|;
+    # - the d column terms, each at most w_j (1 + gamma), add within
+    #   gamma_{d-1} W (1 + gamma);
+    # - build_roulette's cdist value of one pair rounds d subtractions and
+    #   d - 1 additions, and its row sum adds n non-negative values in some
+    #   order: within gamma_{n+d} D of D, and D <= W / (1 - u).
+    # The sum of these is below gamma_{4n+2d+10} W. The bound doubles that
+    # multiple, which covers the rounding of W and of the bound itself; the
+    # absolute term covers bounds that underflow.
+    bounds = (8 * n + 4 * d + 32) * _U * W + 1e-300
+    return sums, bounds
+
+
+def _certified_cumulative(X, Y, epsilon: float):
+    """(cumulative, delta): a wheel's cumulative probabilities from the fast
+    sums of _roulette_sums, and a delta such that every entry lies within
+    delta of build_roulette(...).cumulative for the same rows. None when
+    the bounds cannot certify that: a sum or bound is not finite, a row's
+    sum minus its bound is at most 2 epsilon (the epsilon clamp could act
+    on either side) or a sum is so large that fitness could underflow.
+    """
+    if len(X) == 0 or len(Y) == 0:
+        return None             # build_roulette raises
+    sums, bounds = _roulette_sums(X, Y)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = float(np.max(bounds / (sums - bounds)))
+    if not (np.all(np.isfinite(sums)) and np.all(np.isfinite(bounds))
+            and np.min(sums - bounds) > 2 * epsilon
+            and np.max(sums + bounds) <= 2.0 ** 1000 and rho <= 2.0 ** -10):
+        return None
+    # Every row has M - b > 2 epsilon for the fast sum M and its bound b, so
+    # build_roulette's sum M' (within b of M) is above epsilon too and both
+    # fitnesses are plain reciprocals. |M'/M - 1| <= b / (M - b) <= rho,
+    # so after rounding each reciprocal the exact fitness is the fast one
+    # times (1 + t) with |t| <= tau = rho + 3u (rho <= 2^-10). Scaling each
+    # fitness by 1 + t moves a cumulative share c = A / (A + B) by at most
+    # 2 tau c (1 - c) / (1 - tau) <= tau. Each path then rounds its total
+    # (gamma_{m-1}), each quotient (u, or 2^-1075 below 2^-1022) and its
+    # cumulative sum (gamma_m, all terms positive and summing to 1), so
+    # each entry is within gamma_{2m+2} + m 2^-1074 of the rounding-free
+    # share; the last entry is set to 1, its exact value. delta doubles
+    # tau and the rounding terms, which also covers rounding r +- delta
+    # when a spin is checked against it.
+    fitness = 1.0 / sums
+    cumulative = np.cumsum(fitness / fitness.sum())
+    cumulative[-1] = 1.0
+    return cumulative, 2.0 * (rho + 3 * _U) + (8 * len(sums) + 16) * _U
+
+
+def _roulette_draw(minority: Dataset, majority: Dataset, epsilon: float, rng: RandomSource):
+    """A draw_seed for smote_points: each call draws one rng.uniform() and
+    returns the seed spin(build_roulette(minority, majority, epsilon), 1, rng)
+    returns for that draw.
+
+    The draw is located on the certified fast wheel. When a fast edge lies
+    within delta of it, where the exact wheel's edge might fall on the other
+    side, the exact wheel is built (once per call of this function) and
+    answers instead. When the fast wheel is not certified, the exact wheel
+    answers every draw.
+    """
+    fast = _certified_cumulative(minority.X, majority.X, epsilon)
+    if fast is None:
+        wheel = build_roulette(minority, majority, epsilon)
+        return lambda: int(_select(wheel, rng.uniform()))
+    cumulative, delta = fast[0].tolist(), fast[1]
+    wheel = None
+
+    def draw() -> int:
+        nonlocal wheel
+        r = rng.uniform()
+        i = bisect_right(cumulative, r)          # < m: the last entry is 1 > r
+        if (i and cumulative[i - 1] > r - delta) or cumulative[i] <= r + delta:
+            if wheel is None:
+                wheel = build_roulette(minority, majority, epsilon)
+            return int(_select(wheel, r))
+        return i
+    return draw
 
 
 def nearest_rows(Q, P, k: int, exclude=None) -> np.ndarray:
@@ -394,7 +523,7 @@ def noise_filter(candidates, pool: Dataset, k: int):
 def _oversample(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
                 rng: RandomSource, stats: dict | None):
     """The synthetics minority_class_pruning adds, noise-filtered under `model`."""
-    wheel = build_roulette(minority, majority, cfg.epsilon)
+    draw_seed = _roulette_draw(minority, majority, cfg.epsilon, rng)
     target = math.ceil(cfg.candidate_multiplier * cfg.k)
     cap = cfg.effective_spin_cap
     X = minority.X
@@ -405,8 +534,7 @@ def _oversample(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
         # would make every spin of this chunk too.
         n = min(target - len(accepted), cap - spins)
         spins += n
-        C, seeds, nb, alphas = smote_points(X, n, cfg.k_neighbors, rng,
-                                            lambda: int(spin(wheel, 1, rng)[0]))
+        C, seeds, nb, alphas = smote_points(X, n, cfg.k_neighbors, rng, draw_seed)
         dist_min, dist_maj, ok = _accept(C, X[seeds], majority.X)
         accepted += [SyntheticSample(x=C[i], seed_index=int(seeds[i]), neighbor_index=int(nb[i]),
                                      alpha=float(alphas[i]), seed_x=X[seeds[i]],

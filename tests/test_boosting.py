@@ -271,3 +271,23 @@ class TestNamedConfigurations:
         ens = fit_boosted(data, cfg, DecisionStump, RandomSource(4))
         for entry in ens.training_log:
             assert entry["n_majority"] == 55
+
+
+class TestBoostConfigValidation:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"t_max": 2.5}, "t_max must be an integer"),
+        ({"t_max": True}, "t_max must be an integer"),
+        ({"t_max": 3, "k": 2.5}, "k must be an integer"),
+        ({"t_max": 3, "k": -2, "rebalancer": "smote"}, "k must be >= 0"),
+        ({"t_max": 3, "learning_rate": -1.0}, "learning_rate must be finite and positive"),
+        ({"t_max": 3, "learning_rate": 0.0}, "learning_rate must be finite and positive"),
+        ({"t_max": 3, "learning_rate": float("nan")}, "learning_rate must be finite"),
+        ({"t_max": 3, "learning_rate": float("inf")}, "learning_rate must be finite"),
+    ])
+    def test_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            BoostConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = BoostConfig(t_max=np.int64(3), k=np.int32(2), rebalancer="double_pruning")
+        assert cfg.pruning.k == 2

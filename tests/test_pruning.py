@@ -338,3 +338,27 @@ class TestDuplicateRows:
         np.testing.assert_array_equal(keep, np.setdiff1d(np.arange(len(majority)), removed))
         new_majority, _ = double_pruning(majority, minority, cfg, RandomSource(seed))
         np.testing.assert_array_equal(new_majority.X, majority.subset(keep).X)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"k": 2.5}, "k must be an integer"),
+        ({"k": True}, "k must be an integer"),
+        ({"k": -1}, "k must be >= 0"),
+        ({"k": 3, "k_neighbors": 2.5}, "k_neighbors must be an integer"),
+        ({"k": 3, "k_neighbors": False}, "k_neighbors must be an integer"),
+        ({"k": 3, "spin_cap": 10.5}, "spin_cap must be an integer"),
+        ({"k": 3, "spin_cap": True}, "spin_cap must be an integer"),
+        ({"k": 3, "candidate_multiplier": float("nan")}, "candidate_multiplier must be finite"),
+        ({"k": 3, "candidate_multiplier": float("inf")}, "candidate_multiplier must be finite"),
+        ({"k": 3, "epsilon": float("nan")}, "epsilon must be finite"),
+        ({"k": 3, "epsilon": float("inf")}, "epsilon must be finite"),
+        ({"k": 3, "epsilon": 0.0}, "epsilon must be finite and positive"),
+    ])
+    def test_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            PruningConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = PruningConfig(k=np.int64(3), k_neighbors=np.int32(2), spin_cap=np.int64(9))
+        assert cfg.effective_spin_cap == 9
