@@ -22,7 +22,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import Dataset, POSITIVE, RandomSource, _integer
 from .entropy import entropy_batch, fit_gnb, posterior_batch
@@ -131,9 +130,8 @@ def build_roulette(minority: Dataset, majority: Dataset, epsilon: float = 1e-12)
     if len(minority) == 0 or len(majority) == 0:
         raise ValueError("both classes must be non-empty")
     rows = max(1, _BLOCK // len(majority))
-    M = np.concatenate([
-        cdist(minority.X[lo:lo + rows], majority.X, metric="cityblock").sum(axis=1)
-        for lo in range(0, len(minority), rows)])
+    M = np.concatenate([_cityblock(minority.X[lo:lo + rows], majority.X).sum(axis=1)
+                        for lo in range(0, len(minority), rows)])
     fitness = 1.0 / np.maximum(M, epsilon)
     probabilities = fitness / fitness.sum()
     cumulative = np.cumsum(probabilities)
@@ -145,6 +143,17 @@ def build_roulette(minority: Dataset, majority: Dataset, epsilon: float = 1e-12)
         probabilities=probabilities,
         cumulative=cumulative,
     )
+
+
+def _cityblock(X, Y) -> np.ndarray:
+    """L1 distances: entry (i, j) adds |X[i, f] - Y[j, f]| over the features
+    f in order, starting from 0, as scipy's cdist(X, Y, "cityblock") does."""
+    out = np.zeros((len(X), len(Y)))
+    with np.errstate(over="ignore", invalid="ignore"):   # inf and NaN flow into the sums
+        for f in range(X.shape[1]):
+            t = np.subtract.outer(X[:, f], Y[:, f])
+            out += np.abs(t, out=t)
+    return out
 
 
 def spin(wheel: RouletteWheel, n_draws: int, rng: RandomSource) -> np.ndarray:
@@ -166,7 +175,7 @@ _U = 2.0 ** -53   # unit roundoff of a double
 def _roulette_sums(X, Y):
     """(sums, bounds): per row of X, its summed L1 distance to the rows of Y,
     from sorted centred columns of Y and their prefix sums, and a bound on
-    its distance from build_roulette's cdist value.
+    its distance from build_roulette's _cityblock sum.
 
     Each column of Y is sorted and centred on its middle element c. A row's
     centred value a splits the column at p = searchsorted(z, a, "right"),
@@ -201,7 +210,7 @@ def _roulette_sums(X, Y):
     #   So the column term is within gamma_{3n+9} w_j of sum_i |a - z_i|;
     # - the d column terms, each at most w_j (1 + gamma), add within
     #   gamma_{d-1} W (1 + gamma);
-    # - build_roulette's cdist value of one pair rounds d subtractions and
+    # - build_roulette's _cityblock value of one pair rounds d subtractions and
     #   d - 1 additions, and its row sum adds n non-negative values in some
     #   order: within gamma_{n+d} D of D, and D <= W / (1 - u).
     # The sum of these is below gamma_{4n+2d+10} W. The bound doubles that
@@ -283,52 +292,66 @@ def nearest_rows(Q, P, k: int, exclude=None) -> np.ndarray:
     Row i is ``np.argsort(np.linalg.norm(Q - P[i], axis=1), kind="stable")``
     without position ``exclude[i]`` (when `exclude` is given), cut to its
     first k entries; k is capped at the positions available.
+    """
+    return _nearest(Q, P, k, exclude)[0]
 
-    Each block of P rows is screened with the expanded squared distance
-    |p|^2 + |q|^2 - 2 p.q from one matrix product. The rows within the
-    screen's slack of the k-th smallest screened value are then recomputed
-    with the same np.linalg.norm arithmetic and stably sorted, so distances,
-    ties and their lower-position-first order are those of the full scan.
+
+def _nearest(Q, P, k: int, exclude=None):
+    """(positions, distances): nearest_rows(Q, P, k, exclude) and, entry for
+    entry, np.linalg.norm(Q[position] - P[i], axis=1).
+
+    Each block of P rows is screened with |q|^2 - 2 p.q, the squared
+    distance less the row's constant |p|^2, from one matrix product. The
+    rows within the screen's slack of the k-th smallest screened value are
+    then recomputed with the np.linalg.norm arithmetic above and stably
+    sorted, so distances, ties and their lower-position-first order are
+    those of the full scan.
     """
     Q = np.asarray(Q, dtype=float)
     P = np.atleast_2d(np.asarray(P, dtype=float))
     k = min(k, len(Q) - (exclude is not None))
     out = np.empty((len(P), max(k, 0)), dtype=np.intp)
+    dist = np.empty(out.shape)
     if k <= 0:
-        return out
+        return out, dist
     sq_q = np.einsum("ij,ij->i", Q, Q)
     sq_q_max = sq_q.max()
+    Qt = -2.0 * Q.T
     rows = max(1, _BLOCK // len(Q))
     for lo in range(0, len(P), rows):
         B = P[lo:lo + rows]
         r = np.arange(len(B))
         sq_p = np.einsum("ij,ij->i", B, B)
         with np.errstate(over="ignore", invalid="ignore"):   # overflow falls back below
-            s = sq_q - 2.0 * (B @ Q.T)
-            s += sq_p[:, None]
+            s = B @ Qt
+            s += sq_q
             if exclude is not None:
                 ex = np.asarray(exclude[lo:lo + rows])
                 s[r, ex] = np.inf
-            kth = np.partition(s, k - 1, axis=1)[:, k - 1]
-            # A screened value and the square of the distance np.linalg.norm
-            # returns each differ from the exact |p - q|^2 by at most about
-            # (2d + 7) * 2^-53 * (|p|^2 + |q|^2), plus a few multiples of d
-            # subnormal units (2^-1074) where squares underflow. So every row
-            # of the exact top k screens at most twice that above the k-th
-            # screened value, which the slack below exceeds for any d up to
-            # about 10^6. Where |p|^2, some |q|^2 or the bound is not finite
-            # (squares overflow near 1e154), the row takes the full exact scan.
+            kth = s.min(axis=1) if k == 1 else np.partition(s, k - 1, axis=1)[:, k - 1]
+            # A screened value differs from the exact |q|^2 - 2 p.q, and the
+            # square of the distance np.linalg.norm returns from the exact
+            # |p - q|^2, each by at most about (2d + 7) * 2^-53 * (|p|^2 + |q|^2),
+            # plus a few multiples of d subnormal units (2^-1074) where squares
+            # underflow. Within a row the two differ by the constant |p|^2, so
+            # every row of the exact top k screens at most twice that above the
+            # k-th screened value, which the slack below exceeds for any d up
+            # to about 10^6. Where |p|^2, some |q|^2, the bound or the bound
+            # plus |p|^2 (about the k-th squared distance) is not finite, the
+            # row takes the full exact scan: squares overflow near 1e154.
             bound = kth + (1e-9 * (sq_p + sq_q_max) + 1e-300)
+            full = ~np.isfinite(bound + sq_p)
         keep = s <= bound[:, None]
-        keep[~np.isfinite(bound)] = True
+        keep[full] = True
         if exclude is not None:
             keep[r, ex] = False
         i, j = np.nonzero(keep)              # j ascends within each row
         d = np.linalg.norm(Q[j] - B[i], axis=1)
-        j = j[np.lexsort((d, i))]            # stable: equal distances keep position order
-        counts = keep.sum(axis=1)
-        out[lo:lo + rows] = j[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-    return out
+        order = np.lexsort((d, i))           # stable: equal distances keep position order
+        counts = np.bincount(i, minlength=len(B))
+        at = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        out[lo:lo + rows], dist[lo:lo + rows] = j[at], d[at]
+    return out, dist
 
 
 class _NeighbourLists:
@@ -388,13 +411,12 @@ class _NeighbourLists:
         """Search the lists of query rows `rows` in full."""
         if len(rows) == 0:
             return
-        nn = nearest_rows(P, self.Q[rows], self.depth)
+        nn, d = _nearest(P, self.Q[rows], self.depth)
         n = nn.shape[1]
         self.nb_k[rows] = -1
         self.nb_d[rows] = np.inf
         self.nb_k[rows, :n] = keys[nn]
-        self.nb_d[rows, :n] = _pair_distances(P, self.Q, nn.ravel(), np.repeat(rows, n)
-                                              ).reshape(nn.shape)
+        self.nb_d[rows, :n] = d
         self.count[rows] = n
         self.bound[rows] = self.nb_d[rows, -1]   # inf while the pool is smaller than the list
 
@@ -436,7 +458,7 @@ def _position(keys, top):
 
 
 def _pair_distances(P, Q, j, i) -> np.ndarray:
-    """np.linalg.norm(P[j] - Q[i], axis=1), the distance form of nearest_rows,
+    """np.linalg.norm(P[j] - Q[i], axis=1), the distance form of _nearest,
     _BLOCK pairs at a time."""
     out = np.empty(len(j))
     for lo in range(0, len(j), _BLOCK):
@@ -481,9 +503,10 @@ def smote_interpolate(seed, minority: Dataset, seed_index: int, k_neighbors: int
 def _accept(C, S, M):
     """(dist_min, dist_maj, accepted) for candidate rows C with seed rows S
     against majority rows M: the regularization test dist_min <= dist_maj."""
-    dist_maj = np.linalg.norm(M[nearest_rows(M, C, 1)[:, 0]] - C, axis=1)
-    # per row, the 1-D norm: its result can differ in the last bit from the 2-D form's
-    dist_min = np.array([np.linalg.norm(c - s) for c, s in zip(C, S)])
+    dist_maj = _nearest(M, C, 1)[1][:, 0]
+    # per row, the arithmetic of the 1-D np.linalg.norm, sqrt(v.dot(v)): it
+    # can differ in the last bit from the 2-D form's
+    dist_min = np.sqrt([v.dot(v) for v in C - S])
     return dist_min, dist_maj, dist_min <= dist_maj
 
 

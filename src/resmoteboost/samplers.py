@@ -93,8 +93,14 @@ def tomek_links(partition: ClassPartition) -> Dataset:
         raise ValueError("both classes must be non-empty")
     full = partition.majority.concat(partition.minority)
     m_off = len(partition.majority)
-    nn = nearest_rows(full.X, full.X, 1, exclude=np.arange(len(full)))[:, 0]
-    b = nn[:m_off]                                # nearest neighbor of each majority row
+    # A link's majority row is the nearest neighbor of a minority row, so only
+    # the majority rows the minority rows name are searched; the others keep -1.
+    nn = np.full(len(full), -1)
+    nn[m_off:] = nearest_rows(full.X, full.X[m_off:], 1,
+                              exclude=m_off + np.arange(len(partition.minority)))[:, 0]
+    cand = np.unique(nn[m_off:][nn[m_off:] < m_off])
+    nn[cand] = nearest_rows(full.X, full.X[cand], 1, exclude=cand)[:, 0]
+    b = nn[:m_off]                                # nearest neighbor of each candidate, else -1
     keep = np.ones(len(full), dtype=bool)
     keep[:m_off] = ~((b >= m_off) & (nn[b] == np.arange(m_off)))   # b in minority and mutual
     return full.subset(np.flatnonzero(keep))

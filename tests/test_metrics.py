@@ -129,7 +129,9 @@ class TestAverageRanks:
             roc_auc([0.1, math.nan, 0.3], [POSITIVE, NEGATIVE, NEGATIVE])
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        code = "import sys, resmoteboost; print('scipy.stats' in sys.modules)"
+        # no scipy module at all: the package's only runtime dependency is numpy
+        code = ("import sys, resmoteboost; "
+                "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
         src = str(Path(resmoteboost.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src}).stdout

@@ -19,7 +19,7 @@ from resmoteboost import (ClassPartition, Dataset, KNNLearner, NEGATIVE, POSITIV
                           PruningConfig, RandomSource, SyntheticSample, build_roulette,
                           fit_gnb, make_gaussian_blobs, regularization_accept,
                           smote_interpolate, spin, tomek_links)
-from resmoteboost.pruning import _entropy_filter, _oversample, nearest_rows
+from resmoteboost.pruning import _entropy_filter, _nearest, _oversample, nearest_rows
 from resmoteboost.samplers import _majority_neighbor_counts
 
 
@@ -72,6 +72,11 @@ class TestNearestRows:
         got = nearest_rows(Q, P, k, exclude=exclude)
         np.testing.assert_array_equal(got, argsort_oracle(Q, P, k, exclude))
         assert got.shape == (m, min(k, n - excluded))
+        # the distances the kernel returns with them are the norms of those rows
+        positions, distances = _nearest(Q, P, k, exclude)
+        np.testing.assert_array_equal(positions, got)
+        for i, idx in enumerate(got):
+            assert distances[i].tobytes() == np.linalg.norm(Q[idx] - P[i], axis=1).tobytes()
 
     def test_many_blocks(self):
         # enough rows that the screen runs in several blocks
@@ -81,6 +86,16 @@ class TestNearestRows:
         exclude = np.arange(200)
         np.testing.assert_array_equal(nearest_rows(Q, P, 7, exclude=exclude),
                                       argsort_oracle(Q, P, 7, exclude))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_distances_keep_position_order(self):
+        # both squared distances overflow, so both distances are inf and
+        # position 0 comes first; the screened values leave out |p|^2 = 1e308,
+        # stay finite and rank position 1 first, so the row takes the full scan
+        Q = np.array([[-0.5e154], [-0.4e154]])
+        P = np.array([[1e154]])
+        np.testing.assert_array_equal(argsort_oracle(Q, P, 1), [[0]])
+        np.testing.assert_array_equal(nearest_rows(Q, P, 1), [[0]])
 
     def test_single_query_vector(self):
         Q = np.array([[0.0], [2.0], [1.0], [1.0]])
@@ -296,3 +311,30 @@ def test_blocked_tomek_links_match_full_matrix():
     expected = full_X[[i for i in range(len(full_X)) if i not in drop]]
     assert len(drop) > 0
     np.testing.assert_array_equal(tomek_links(part).X, expected)
+
+
+def old_tomek_links(partition):
+    """The full self-search Tomek links made before it searched only the
+    rows a link can involve: every row's nearest other row, then the
+    majority rows whose nearest row is a minority row naming them back."""
+    full = partition.majority.concat(partition.minority)
+    m_off = len(partition.majority)
+    nn = argsort_oracle(full.X, full.X, 1, exclude=np.arange(len(full)))[:, 0]
+    drop = [a for a in range(m_off) if nn[a] >= m_off and nn[nn[a]] == a]
+    return full.subset(np.setdiff1d(np.arange(len(full)), drop))
+
+
+# squares near 1e154 overflow in the norms as in the full search
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(KINDS), n_maj=st.integers(1, 40), n_min=st.integers(1, 20),
+       d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_tomek_links_match_full_self_search(kind, n_maj, n_min, d, seed):
+    rng = np.random.default_rng(seed)
+    n_min = min(n_min, n_maj)
+    X = make_rows(kind, n_maj + n_min, d, rng)   # duplicate rows may span both classes
+    part = ClassPartition(majority=Dataset(X[:n_maj], np.full(n_maj, NEGATIVE)),
+                          minority=Dataset(X[n_maj:], np.full(n_min, POSITIVE)))
+    got, want = tomek_links(part), old_tomek_links(part)
+    assert got.X.tobytes() == want.X.tobytes()
+    np.testing.assert_array_equal(got.y, want.y)

@@ -96,16 +96,17 @@ class TestAgainstFullSearch:
 
 
 class SearchCounter:
-    """Counts nearest_rows calls made through the neighbour lists."""
+    """Counts the exact searches (the _nearest kernel behind nearest_rows and
+    the neighbour lists) and the query rows of each."""
 
     def __init__(self, monkeypatch):
         self.queries = []
-        real = pruning.nearest_rows
+        real = pruning._nearest
 
         def counting(Q, P, k, exclude=None):
             self.queries.append(len(np.atleast_2d(P)))
             return real(Q, P, k, exclude)
-        monkeypatch.setattr(pruning, "nearest_rows", counting)
+        monkeypatch.setattr(pruning, "_nearest", counting)
 
 
 def test_plain_boost_searches_the_training_rows_once(monkeypatch):

@@ -2,10 +2,11 @@
 
 `_oversample` locates each spin on a wheel built from sorted-prefix-sum
 distance sums. Each sum carries a bound on its distance from
-`build_roulette`'s `cdist` value, and the wheel a bound delta on its distance
-from `build_roulette(...).cumulative`. A spin within delta of a fast edge,
-and every spin of a round the bounds cannot certify, is answered by the
-exact wheel, so every selection is `spin` on `build_roulette`'s wheel.
+`build_roulette`'s sum (the one `cdist(..., "cityblock")` gives), and the
+wheel a bound delta on its distance from `build_roulette(...).cumulative`.
+A spin within delta of a fast edge, and every spin of a round the bounds
+cannot certify, is answered by the exact wheel, so every selection is
+`spin` on `build_roulette`'s wheel.
 """
 
 import numpy as np
@@ -95,6 +96,47 @@ class TestBounds:
         Y = np.array([[1.0, 2.0], [4.0, 6.0], [2.0, 2.0], [-3.0, 0.0]])
         sums, _ = _roulette_sums(X, Y)
         np.testing.assert_array_equal(sums, cdist(X, Y, metric="cityblock").sum(axis=1))
+
+
+def column(kind: str, v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Feature values v reshaped into one of the column kinds of TestCityblock."""
+    if kind in ("nan", "inf"):
+        v = v.copy()
+        hit = rng.random(len(v)) < 0.3
+        v[hit] = np.nan if kind == "nan" else rng.choice([-np.inf, np.inf], size=hit.sum())
+        return v
+    if kind == "grid":
+        return np.round(v)
+    if kind == "offset":
+        return v + 1e6
+    if kind == "overflow":      # finite values whose differences overflow
+        return np.clip(v, -1.0, 1.0) * 1e308
+    return v * {"normal": 1.0, "huge": 1e300, "tiny": 1e-300}[kind]
+
+
+COLUMNS = ("normal", "grid", "offset", "huge", "tiny", "overflow", "nan", "inf")
+
+
+class TestCityblock:
+    # row sums of values near 1e308 overflow, in build_roulette as in cdist(...).sum
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 30), m=st.integers(1, 12), d=st.integers(1, 6),
+           kinds=st.lists(st.sampled_from(COLUMNS), min_size=6, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_roulette_distances_match_cdist(self, n, m, d, kinds, seed):
+        rng = np.random.default_rng(seed)
+        Y = rng.normal(size=(n, d))
+        X = np.vstack([rng.normal(size=(m, d)), Y])[rng.permutation(m + n)[:m]]  # some coincide
+        for j in range(d):
+            X[:, j], Y[:, j] = column(kinds[j], X[:, j], rng), column(kinds[j], Y[:, j], rng)
+        want = cdist(X, Y, metric="cityblock")
+        assert pruning._cityblock(X, Y).tobytes() == want.tobytes()
+        want = want.sum(axis=1)
+        # a Dataset holds finite features only, and all-infinite sums (from
+        # overflowing differences) leave no fitness to share
+        if np.isfinite(X).all() and np.isfinite(Y).all() and np.isfinite(want).any():
+            assert build_roulette(*classes(X, Y)).distances.tobytes() == want.tobytes()
 
 
 def _differing_edge():
