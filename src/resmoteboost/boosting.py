@@ -312,8 +312,7 @@ def _rebalance(train: Dataset, maj_idx, min_idx, syn_X, cfg: BoostConfig,
     if cfg.rebalancer == "smote":
         if cfg.k >= 1:
             k_nb = cfg.pruning.k_neighbors if cfg.pruning else 5
-            points = smote_points(minority.X, cfg.k, k_nb, rng,
-                                  lambda: int(rng.integers(0, len(minority))))[0]
+            points = smote_points(minority.X, cfg.k, k_nb, rng)[0]
             syn_X = np.vstack([syn_X, points])
             audit["added"] = cfg.k
     else:  # double_pruning

@@ -26,6 +26,9 @@ _SM64_M1 = 0xBF58476D1CE4E5B9
 _SM64_M2 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 
+_HALF = 1 << 32                # PCG64 hands out bounded draws' words in 32-bit halves
+_LOW = np.uint64(_HALF - 1)
+
 
 def mix_seed(base_seed: int, index: int) -> int:
     """Derive an independent 64-bit seed from (base_seed, index) via splitmix64."""
@@ -46,7 +49,9 @@ class RandomSource:
     One documented generator (numpy PCG64) is used everywhere; identical seeds
     give identical draw sequences within this implementation. Instances are
     single-owner: concurrent work must use `spawn` to derive independent
-    sources.
+    sources. `rounds` makes many rounds of scalar `integers(0, h)` and
+    `uniform()` calls in one array call, with the values and the generator
+    state of the scalar calls.
     """
 
     algorithm_id = "numpy-pcg64"
@@ -67,6 +72,83 @@ class RandomSource:
 
     def permutation(self, n):
         return self._gen.permutation(n)
+
+    def rounds(self, highs, n: int) -> np.ndarray:
+        """An (n, len(highs)) float array: row i holds what round i of scalar
+        calls returns, in column order, `integers(0, h)` for an integer
+        h >= 1 or `uniform()` for None. The values, and the generator state
+        left behind, are those of the scalar calls; integers are exact as
+        doubles up to 2**53.
+
+        The words come from one `random_raw` call, decoded as numpy's
+        Generator decodes them. uniform() is (word >> 11) * 2**-53 and takes
+        a whole word. integers(0, h) for 1 < h < 2**32 is the top 32 bits of
+        a 32-bit half times h (Lemire's multiply-shift): PCG64 hands out the
+        low half of a new word and buffers the high half for the next
+        bounded draw. h == 1 draws nothing. When some bounded draw would be
+        rejected (its low 32 bits below (2**32 - h) % h, probability below
+        h / 2**32), or some h >= 2**32, the state is restored and the
+        scalar calls are made instead.
+        """
+        highs = list(highs)
+        if n == 0 or not highs:
+            return np.empty((n, len(highs)))
+        if any(h is not None and h < 1 for h in highs):
+            raise ValueError("high <= 0")
+        bitgen = self._gen.bit_generator
+        saved = bitgen.state
+        if all(h is None or h < _HALF for h in highs):
+            out = self._replay(highs, n, saved)
+            if out is not None:
+                return out
+            bitgen.state = saved
+        out = np.empty((n, len(highs)))
+        for row in out:
+            for c, h in enumerate(highs):
+                row[c] = self._gen.random() if h is None else self._gen.integers(0, h)
+        return out
+
+    def _replay(self, highs, n, state):
+        """`rounds`' array from one random_raw call, with the 32-bit buffer
+        the scalar calls would leave set in the generator; None, with the
+        words already taken, when some bounded draw would be rejected."""
+        h = np.array([0 if v is None else v for v in highs], dtype=np.uint64)
+        column = np.arange(n * len(highs)) % len(highs)
+        uniform, bounded = (h == 0)[column], (h > 1)[column]   # h == 0: None
+        flat = np.zeros(len(column))                  # h == 1 draws 0
+        # j: the bounded draw's half among those of new words, -1 for the
+        # half buffered on entry; even j takes a new word's low half, odd j
+        # the high half of the word taken at j - 1
+        at = bounded.nonzero()[0]
+        buffered = int(state["has_uint32"])
+        j = np.arange(len(at)) - buffered
+        fresh = uniform.copy()
+        fresh[at[j % 2 == 0]] = True
+        word = np.cumsum(fresh) - 1                   # latest word taken at each draw
+        raw = self._gen.bit_generator.random_raw(int(word[-1]) + 1)
+        u = uniform.nonzero()[0]
+        flat[u] = (raw[word[u]] >> np.uint64(11)) * 2.0 ** -53
+        if len(at) == 0:
+            return flat.reshape(n, -1)
+        w = word[at]
+        odd = (j % 2 == 1).nonzero()[0][buffered:]    # j = 1, 3, ...
+        w[odd] = w[odd - 1]
+        words = raw[w[buffered:]]
+        halves = np.where(j[buffered:] % 2 == 0, words & _LOW, words >> np.uint64(32))
+        if buffered:
+            halves = np.concatenate([[np.uint64(state["uinteger"])], halves])
+        hb = h[column[at]]
+        m = halves * hb
+        if np.any((m & _LOW) < (np.uint64(_HALF) - hb) % hb):
+            return None
+        flat[at] = m >> np.uint64(32)
+        last = len(at) - 1 - buffered                 # j of the last bounded draw
+        after = self._gen.bit_generator.state
+        after["has_uint32"] = int(last >= 0 and last % 2 == 0)
+        if last >= 0:
+            after["uinteger"] = int(words[-1] >> np.uint64(32))
+        self._gen.bit_generator.state = after
+        return flat.reshape(n, -1)
 
     def spawn(self, index: int) -> "RandomSource":
         """Independent child source derived deterministically from this seed."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,6 +152,13 @@ def _fold_indices(data: Dataset, folds: int, seed: int, fold: int):
     return np.flatnonzero(fold_of != fold), np.flatnonzero(fold_of == fold)
 
 
+@lru_cache(maxsize=1)
+def _index_ints(n: int) -> tuple:
+    """The ints 0..n-1, shared by every report on data of n rows, so a
+    report's test indices hold references rather than an int object each."""
+    return tuple(range(n))
+
+
 def run_replication(data: Dataset, cfg: ExperimentConfig, index: int,
                     capture: dict | None = None):
     """One replication: derived seed, split, resample/train, evaluate.
@@ -176,7 +184,8 @@ def run_replication(data: Dataset, cfg: ExperimentConfig, index: int,
     else:
         report.undefined.append("auc")   # a one-class test split ranks nothing
     return {"replication": index, "seed": seed_i, "metrics": report.to_json(),
-            "model": info, "test_indices": [int(i) for i in test_idx]}
+            "model": info, "test_indices": list(map(_index_ints(len(data)).__getitem__,
+                                                    test_idx.tolist()))}
 
 
 def _summary(values, key: str) -> dict:

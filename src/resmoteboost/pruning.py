@@ -18,7 +18,6 @@ given RandomSource.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,34 +255,34 @@ def _certified_cumulative(X, Y, epsilon: float):
     return cumulative, 2.0 * (rho + 3 * _U) + (8 * len(sums) + 16) * _U
 
 
-def _roulette_draw(minority: Dataset, majority: Dataset, epsilon: float, rng: RandomSource):
-    """A draw_seed for smote_points: each call draws one rng.uniform() and
-    returns the seed spin(build_roulette(minority, majority, epsilon), 1, rng)
-    returns for that draw.
+def _roulette_seeds(minority: Dataset, majority: Dataset, epsilon: float):
+    """A map from an array of uniforms r to the seeds
+    spin(build_roulette(minority, majority, epsilon), ...) selects for them.
 
-    The draw is located on the certified fast wheel. When a fast edge lies
-    within delta of it, where the exact wheel's edge might fall on the other
-    side, the exact wheel is built (once per call of this function) and
-    answers instead. When the fast wheel is not certified, the exact wheel
-    answers every draw.
+    The uniforms are located on the certified fast wheel. Those within delta
+    of a fast edge, where the exact wheel's edge might fall on the other
+    side, are answered by the exact wheel, built at most once however often
+    the map is called. When the fast wheel is not certified, the exact wheel
+    answers every uniform.
     """
     fast = _certified_cumulative(minority.X, majority.X, epsilon)
     if fast is None:
         wheel = build_roulette(minority, majority, epsilon)
-        return lambda: int(_select(wheel, rng.uniform()))
-    cumulative, delta = fast[0].tolist(), fast[1]
+        return lambda r: _select(wheel, r)
+    cumulative, delta = fast
     wheel = None
 
-    def draw() -> int:
+    def seeds(r):
         nonlocal wheel
-        r = rng.uniform()
-        i = bisect_right(cumulative, r)          # < m: the last entry is 1 > r
-        if (i and cumulative[i - 1] > r - delta) or cumulative[i] <= r + delta:
+        i = np.searchsorted(cumulative, r, side="right")   # < m: the last entry is 1 > r
+        near = (((i > 0) & (cumulative[i - 1] > r - delta))
+                | (cumulative[i] <= r + delta))
+        if near.any():
             if wheel is None:
                 wheel = build_roulette(minority, majority, epsilon)
-            return int(_select(wheel, r))
+            i[near] = _select(wheel, r[near])
         return i
-    return draw
+    return seeds
 
 
 def nearest_rows(Q, P, k: int, exclude=None) -> np.ndarray:
@@ -467,18 +466,30 @@ def _pair_distances(P, Q, j, i) -> np.ndarray:
     return out
 
 
-def smote_points(X, n: int, k_neighbors: int, rng: RandomSource, draw_seed):
+def smote_points(X, n: int, k_neighbors: int, rng: RandomSource, seeds=None):
     """n SMOTE points from the rows of X: row i is X[s] + alpha * (X[nb] - X[s]),
     where nb is a uniformly drawn one of the min(k_neighbors, len(X) - 1)
     nearest other rows of X to X[s]. Per point the draws are, in order, the
-    seed position s = draw_seed(), the neighbor slot and alpha ~ U[0, 1).
+    seed position s, the neighbor slot and alpha ~ U[0, 1); all n rounds
+    come from one rng.rounds call. `seeds` holds the n seed positions (no
+    seed draw), or is None to draw each s uniformly from the rows of X, or
+    a function mapping an array of uniform() draws to seed positions.
 
     Returns (points, seeds, neighbor positions, alphas).
     """
     n_slots = min(k_neighbors, len(X) - 1)
-    seeds, slots, alphas = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), np.empty(n)
-    for i in range(n):
-        seeds[i], slots[i], alphas[i] = draw_seed(), rng.integers(0, n_slots), rng.uniform()
+    if seeds is None or callable(seeds):
+        draws = rng.rounds([len(X) if seeds is None else None, n_slots, None], n)
+        first, draws = draws[:, 0], draws[:, 1:]
+        seeds = first if seeds is None else seeds(first)
+    else:
+        draws = rng.rounds([n_slots, None], n)
+    return _interpolate(X, np.asarray(seeds).astype(np.intp), draws[:, 0].astype(np.intp),
+                        draws[:, 1])
+
+
+def _interpolate(X, seeds, slots, alphas):
+    """smote_points' result for the drawn seed positions, neighbor slots and alphas."""
     unique, inverse = np.unique(seeds, return_inverse=True)
     nb = nearest_rows(X, X[unique], int(slots.max(initial=-1)) + 1, exclude=unique)[inverse, slots]
     S = X[seeds]
@@ -489,15 +500,19 @@ def smote_interpolate(seed, minority: Dataset, seed_index: int, k_neighbors: int
                       rng: RandomSource) -> SyntheticSample:
     """Linear interpolation between a minority seed and one of its minority
     nearest neighbors: x = seed + alpha * (neighbor - seed), alpha ~ U[0,1).
-    `seed` must be row `seed_index` of the minority set."""
+    `seed` must be row `seed_index` of the minority set. The neighbor slot
+    and alpha are drawn as smote_points draws them."""
     if len(minority) < 2:
         raise ValueError("need at least 2 minority samples to interpolate")
     seed_x = minority.X[seed_index]
     if not np.array_equal(np.asarray(seed, dtype=float), seed_x):
         raise ValueError(f"seed is not minority row {seed_index}")
-    x, _, nb, alpha = smote_points(minority.X, 1, k_neighbors, rng, lambda: seed_index)
+    slot = rng.integers(0, min(k_neighbors, len(minority) - 1))
+    alpha = float(rng.uniform())
+    x, _, nb, _ = _interpolate(minority.X, np.array([seed_index], dtype=np.intp),
+                               np.array([slot], dtype=np.intp), np.array([alpha]))
     return SyntheticSample(x=x[0], seed_index=int(seed_index), neighbor_index=int(nb[0]),
-                           alpha=float(alpha[0]), seed_x=seed_x)
+                           alpha=alpha, seed_x=seed_x)
 
 
 def _accept(C, S, M):
@@ -522,13 +537,20 @@ def regularization_accept(candidate: SyntheticSample, majority: Dataset) -> bool
     return bool(ok[0])
 
 
+def _top_entropy(model, X, k: int):
+    """(order, entropies): the positions of the min(k, n) highest-entropy
+    rows of X under `model` in descending entropy order, ties keeping the
+    lower position first, and every row's entropy."""
+    ent = entropy_batch(posterior_batch(model, X))
+    return np.argsort(-ent, kind="stable")[: min(k, len(X))], ent
+
+
 def _entropy_filter(model, candidates, k: int):
     """The min(k, n) highest-entropy candidates under `model`, each carrying
     its entropy, in descending entropy order; ties keep the lower index first."""
-    ent = entropy_batch(posterior_batch(model, np.vstack([c.x for c in candidates])))
+    order, ent = _top_entropy(model, np.vstack([c.x for c in candidates]), k)
     for c, h in zip(candidates, ent):
         c.entropy = float(h)
-    order = np.argsort(-ent, kind="stable")[: min(k, len(candidates))]
     return [candidates[i] for i in order]
 
 
@@ -546,26 +568,32 @@ def noise_filter(candidates, pool: Dataset, k: int):
 def _oversample(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
                 rng: RandomSource, stats: dict | None):
     """The synthetics minority_class_pruning adds, noise-filtered under `model`."""
-    draw_seed = _roulette_draw(minority, majority, cfg.epsilon, rng)
+    seeds_of = _roulette_seeds(minority, majority, cfg.epsilon)
     target = math.ceil(cfg.candidate_multiplier * cfg.k)
     cap = cfg.effective_spin_cap
     X = minority.X
-    accepted = []
-    spins = 0
-    while len(accepted) < target and spins < cap:
+    chunks = []   # per chunk, the accepted rows of its candidate arrays
+    accepted = spins = 0
+    while accepted < target and spins < cap:
         # Each spin accepts at most one candidate, so spinning one at a time
         # would make every spin of this chunk too.
-        n = min(target - len(accepted), cap - spins)
+        n = min(target - accepted, cap - spins)
         spins += n
-        C, seeds, nb, alphas = smote_points(X, n, cfg.k_neighbors, rng, draw_seed)
+        C, seeds, nb, alphas = smote_points(X, n, cfg.k_neighbors, rng, seeds_of)
         dist_min, dist_maj, ok = _accept(C, X[seeds], majority.X)
-        accepted += [SyntheticSample(x=C[i], seed_index=int(seeds[i]), neighbor_index=int(nb[i]),
-                                     alpha=float(alphas[i]), seed_x=X[seeds[i]],
-                                     dist_min=float(dist_min[i]), dist_maj=float(dist_maj[i]))
-                     for i in np.flatnonzero(ok)]
-    retained = _entropy_filter(model, accepted, cfg.k) if accepted else []
+        chunks.append([a[ok] for a in (C, seeds, nb, alphas, dist_min, dist_maj)])
+        accepted += int(ok.sum())
+    retained = []
+    if accepted:
+        C, seeds, nb, alphas, dist_min, dist_maj = (np.concatenate(a) for a in zip(*chunks))
+        order, ent = _top_entropy(model, C, cfg.k)
+        retained = [SyntheticSample(x=C[i], seed_index=int(seeds[i]), neighbor_index=int(nb[i]),
+                                    alpha=float(alphas[i]), seed_x=X[seeds[i]],
+                                    dist_min=float(dist_min[i]), dist_maj=float(dist_maj[i]),
+                                    entropy=float(ent[i]))
+                    for i in order]
     if stats is not None:
-        stats.update(spins=spins, accepted=len(accepted), retained=len(retained))
+        stats.update(spins=spins, accepted=accepted, retained=len(retained))
         if retained:
             stats["synthetics"] = [c.to_json() for c in retained]
     return retained

@@ -8,8 +8,6 @@ tomek_links is the exception and returns the reduced full dataset.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .data import ClassPartition, Dataset, POSITIVE, RandomSource
@@ -20,8 +18,7 @@ def _synthesize(minority: Dataset, seed_indices, k_neighbors: int, rng: RandomSo
     """Interpolated synthetics for the given seeds, drawing each seed's
     neighbor slot and alpha as smote_points does; returns minority +
     synthetics."""
-    rows = smote_points(minority.X, len(seed_indices), k_neighbors, rng,
-                        iter(seed_indices).__next__)[0]
+    rows = smote_points(minority.X, len(seed_indices), k_neighbors, rng, seed_indices)[0]
     syn = Dataset(rows, np.full(len(rows), POSITIVE),
                   feature_names=minority.feature_names, source_tag=minority.source_tag)
     return minority.concat(syn)
@@ -33,7 +30,7 @@ def smote(partition: ClassPartition, n_new: int, k_neighbors: int, rng: RandomSo
     minority = partition.minority
     if len(minority) < 2:
         raise ValueError("need at least 2 minority samples")
-    seeds = [int(rng.integers(0, len(minority))) for _ in range(n_new)]
+    seeds = rng.integers(0, len(minority), size=n_new)
     return _synthesize(minority, seeds, k_neighbors, rng)
 
 
@@ -61,7 +58,7 @@ def borderline_smote(partition: ClassPartition, n_new: int, k_neighbors: int,
     danger = np.flatnonzero((counts * 2 >= k_eff) & (counts < k_eff))
     if len(danger) == 0:
         danger = np.arange(len(minority))
-    seeds = [int(danger[int(rng.integers(0, len(danger)))]) for _ in range(n_new)]
+    seeds = danger[rng.integers(0, len(danger), size=n_new)]
     return _synthesize(minority, seeds, k_neighbors, rng)
 
 
@@ -77,11 +74,11 @@ def adasyn(partition: ClassPartition, n_new: int, k_neighbors: int,
     r = counts / k_eff
     total = r.sum()
     if total > 0:
-        alloc = [int(math.floor(n_new * ri / total + 0.5)) for ri in r]
+        alloc = np.floor(n_new * r / total + 0.5).astype(np.intp)
     else:
         base, rem = divmod(n_new, len(minority))
-        alloc = [base + (1 if i < rem else 0) for i in range(len(minority))]
-    seeds = [i for i, a in enumerate(alloc) for _ in range(a)]
+        alloc = base + (np.arange(len(minority)) < rem)
+    seeds = np.repeat(np.arange(len(minority)), alloc)
     return _synthesize(minority, seeds, k_neighbors, rng)
 
 

@@ -17,8 +17,8 @@ from scipy.spatial.distance import cdist
 from resmoteboost import (Dataset, NEGATIVE, POSITIVE, PruningConfig, RandomSource,
                           RouletteWheel, build_roulette, fit_gnb, spin)
 from resmoteboost import pruning
-from resmoteboost.pruning import (_certified_cumulative, _oversample, _roulette_draw,
-                                  _roulette_sums)
+from resmoteboost.pruning import (_certified_cumulative, _oversample, _roulette_seeds,
+                                  _roulette_sums, smote_points)
 
 from test_nearest import KINDS, make_rows, oversample_oracle, pools
 
@@ -164,8 +164,9 @@ class TestSpins:
         fast_answer = int(np.searchsorted(cumulative, r, side="right"))
         expected = int(spin(wheel, 1, FixedRng([r]))[0])
         assert fast_answer != expected
-        draw = _roulette_draw(minority, majority, 1e-12, FixedRng([r, r]))
-        assert draw() == expected and draw() == expected
+        seeds = _roulette_seeds(minority, majority, 1e-12)
+        assert list(seeds(np.array([r]))) == [expected]
+        assert list(seeds(np.array([0.5, r]))[1:]) == [expected]
         assert len(exact_builds) == 1            # built once, then reused
 
     def test_spin_far_from_edges_takes_fast_wheel(self, exact_builds):
@@ -173,18 +174,25 @@ class TestSpins:
         minority, majority = classes(X, Y)
         cumulative, _ = _certified_cumulative(X, Y, 1e-12)
         edges = np.concatenate([[0.0], cumulative])
-        rs = list((edges[:-1] + edges[1:]) / 2)   # mid-bucket uniforms
+        rs = (edges[:-1] + edges[1:]) / 2        # mid-bucket uniforms
         wheel = build_roulette(minority, majority)
-        draw = _roulette_draw(minority, majority, 1e-12, FixedRng(rs))
-        assert [draw() for _ in rs] == list(spin(wheel, len(rs), FixedRng(rs)))
+        seeds = _roulette_seeds(minority, majority, 1e-12)
+        assert list(seeds(rs)) == list(spin(wheel, len(rs), FixedRng(rs)))
         assert len(exact_builds) == 0
 
     def test_draw_takes_one_double(self):
+        # smote_points draws each seed as one spin of one double, then the
+        # neighbour slot and alpha, as the one-at-a-time loop does
         majority, minority = pools("overlap", 40, 10, 2, 3)
         a, b = RandomSource(9), RandomSource(9)
-        draw = _roulette_draw(minority, majority, 1e-12, a)
+        seeds = smote_points(minority.X, 50, 3, a, _roulette_seeds(minority, majority, 1e-12))[1]
         wheel = build_roulette(minority, majority)
-        assert [draw() for _ in range(50)] == [int(spin(wheel, 1, b)[0]) for _ in range(50)]
+        expected = []
+        for _ in range(50):
+            expected.append(int(spin(wheel, 1, b)[0]))
+            b.integers(0, 3)
+            b.uniform()
+        assert list(seeds) == expected
         assert a._gen.bit_generator.state == b._gen.bit_generator.state
 
 
@@ -231,7 +239,7 @@ class TestUncertifiedRounds:
     def test_empty_class_raises_as_build_roulette(self):
         minority, majority = classes(np.ones((3, 2)), np.empty((0, 2)))
         with pytest.raises(ValueError, match="non-empty"):
-            _roulette_draw(minority, majority, 1e-12, RandomSource(0))
+            _roulette_seeds(minority, majority, 1e-12)
 
 
 class TestWheelValidation:
