@@ -131,6 +131,8 @@ class GaussianNBLearner:
     """Naive Bayes base classifier; margin is the posterior log-odds."""
 
     def __init__(self, var_smoothing: float = 1.0):
+        if not math.isfinite(var_smoothing) or var_smoothing <= 0:
+            raise ValueError(f"var_smoothing must be finite and positive, got {var_smoothing!r}")
         self.var_smoothing = var_smoothing
         self.model = None
 
@@ -163,6 +165,8 @@ class KNNLearner:
     """Weighted k-nearest-neighbor vote; margin is the signed weight sum."""
 
     def __init__(self, n_neighbors: int = 10):
+        if not _integer(n_neighbors) or n_neighbors < 1:
+            raise ValueError(f"n_neighbors must be an integer >= 1, got {n_neighbors!r}")
         self.n_neighbors = n_neighbors
         self._X = None
         self._y = None

@@ -26,9 +26,10 @@ class GaussianNBModel:
     smoothing: float
 
     def __post_init__(self):
-        if abs(float(self.priors.sum()) - 1.0) > 1e-12:
+        # NaN fails both checks
+        if not abs(float(self.priors.sum()) - 1.0) <= 1e-12:
             raise ValueError("priors must sum to 1")
-        if np.any(self.variances < self.smoothing) or self.smoothing <= 0:
+        if not (np.all(self.variances >= self.smoothing) and self.smoothing > 0):
             raise ValueError("variances must be >= smoothing > 0")
 
 

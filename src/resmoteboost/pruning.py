@@ -365,14 +365,18 @@ class _NeighbourLists:
     2k entries, and its bound: the 2k-th distance the last time the list
     held 2k entries (inf before). A deletion leaves the list a head of the
     order. An appended row, whose key is larger than any the list ranked
-    against, belongs in it only if strictly nearer than the bound. Queries
-    left with fewer than k entries are searched again; so is everything
-    when the pool is not the previous one minus some rows plus a tail of
-    larger keys.
+    against, belongs in it only if strictly nearer than the bound. The
+    appended rows are screened against every bound with one matrix product,
+    and only the pairs the screen keeps, every admissible one among them,
+    get the exact distance. Queries left with fewer than k entries are
+    searched again; so is everything when the pool is not the previous one
+    minus some rows plus a tail of larger keys.
     """
 
     def __init__(self, Q):
         self.Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        with np.errstate(over="ignore"):   # an overflowing square opens its row in _update
+            self.sq_q = np.einsum("ij,ij->i", self.Q, self.Q)
         self.keys = None   # pool keys at the last update; None: nothing kept
 
     def nearest(self, P, keys, k: int) -> np.ndarray:
@@ -424,9 +428,34 @@ class _NeighbourLists:
         appended at positions tail.. that are strictly nearer than the bound."""
         D, n_app = self.depth, len(P) - tail
         alive = _position(keys, max(keys[-1], self.keys[-1]))[self.nb_k] >= 0
-        d_app = _pair_distances(P, self.Q, np.tile(np.arange(tail, len(P)), len(self.Q)),
-                                np.repeat(np.arange(len(self.Q)), n_app)
-                                ).reshape(len(self.Q), n_app)
+        A = P[tail:]
+        with np.errstate(over="ignore", invalid="ignore"):   # overflow opens rows below
+            sq_a = np.einsum("ij,ij->i", A, A)
+            v = self.Q @ (-2.0 * A.T)
+            v += sq_a
+            b2 = self.bound * self.bound
+            # v = |a|^2 - 2 q.a is the squared distance less |q|^2. A pair is
+            # admitted when np.linalg.norm's distance, the rounded root of a
+            # sum within about (d + 2) * 2^-53 of |a - q|^2, is below the bound
+            # b; so |a - q|^2 < b^2 * (1 + (d + 5) * 2^-53). The rounded square
+            # b2 is within 2^-53 of b^2, v and |q|^2 within (2d + 3) * 2^-53 *
+            # (|q|^2 + |a|^2) and d * 2^-53 * |q|^2 of theirs, and the limit's
+            # two roundings add 2^-53 * (b2 + |q|^2) each. Squares that
+            # underflow add a few multiples of d subnormal units (2^-1074). So
+            # an admitted pair's v is at most b2 - |q|^2 plus (3d + 10) *
+            # 2^-53 * (|q|^2 + |a|^2 + b2) + 5d * 2^-1074, which the slack
+            # exceeds for any d up to about 10^6. Where b2, |q|^2 or any |a|^2
+            # is not finite, or their sum overflows, the limit plus |q|^2 is
+            # not finite and the row keeps every pair: squares overflow near
+            # 1e154. Otherwise no partial sum of q.a overflows, and an admitted
+            # pair's v, at most b^2 plus the slack, is finite.
+            slack = 1e-9 * (self.sq_q + sq_a.max(initial=0.0) + b2) + 1e-300
+            limit = (b2 - self.sq_q) + slack
+            keep = v <= limit[:, None]
+            keep[~np.isfinite(limit + self.sq_q)] = True
+        i, j = np.divmod(np.flatnonzero(keep), n_app)
+        d_app = np.full(keep.shape, np.inf)   # inf is never admitted
+        d_app[i, j] = np.linalg.norm(A[j] - self.Q[i], axis=1)
         admit = d_app < self.bound[:, None]
         n_alive = alive.sum(axis=1)
         rows = np.flatnonzero((n_alive < self.count) | admit.any(axis=1))
@@ -454,16 +483,6 @@ def _position(keys, top):
     position = np.full(top + 2, -1, dtype=np.intp)
     position[keys] = np.arange(len(keys))
     return position
-
-
-def _pair_distances(P, Q, j, i) -> np.ndarray:
-    """np.linalg.norm(P[j] - Q[i], axis=1), the distance form of _nearest,
-    _BLOCK pairs at a time."""
-    out = np.empty(len(j))
-    for lo in range(0, len(j), _BLOCK):
-        s = slice(lo, lo + _BLOCK)
-        out[s] = np.linalg.norm(P[j[s]] - Q[i[s]], axis=1)
-    return out
 
 
 def smote_points(X, n: int, k_neighbors: int, rng: RandomSource, seeds=None):

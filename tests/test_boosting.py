@@ -104,6 +104,33 @@ class TestBaseLearnerContract:
         np.testing.assert_array_equal(pred, np.where(score > 0, POSITIVE, NEGATIVE))
 
 
+class TestLearnerValidation:
+    @pytest.mark.parametrize("n_neighbors", [0, -1, 2.5, True, None, "3"])
+    def test_knn_rejects_anything_but_a_positive_integer(self, n_neighbors):
+        with pytest.raises(ValueError, match="n_neighbors must be an integer >= 1"):
+            KNNLearner(n_neighbors)
+
+    def test_knn_accepts_numpy_integers(self):
+        assert KNNLearner(np.int64(3)).n_neighbors == 3
+
+    @pytest.mark.parametrize("var_smoothing", [float("nan"), float("inf"), -float("inf"),
+                                               0.0, -1.0])
+    def test_gnb_rejects_non_finite_or_non_positive_smoothing(self, var_smoothing):
+        with pytest.raises(ValueError, match="var_smoothing must be finite and positive"):
+            GaussianNBLearner(var_smoothing)
+
+    @pytest.mark.parametrize("name, field, value", [("knn", "n_neighbors", 0),
+                                                    ("knn", "n_neighbors", 2.5),
+                                                    ("gnb", "var_smoothing", float("nan"))])
+    def test_loading_a_bad_learner_fails(self, name, field, value):
+        data = make_gaussian_blobs(20, 10, 2, 2.0, 5)
+        ens = fit_boosted(data, BoostConfig(t_max=2), make_learner_factory(name), RandomSource(1))
+        obj = ens.to_json()
+        obj["learners"][0][field] = value
+        with pytest.raises(ValueError, match=field):
+            BoostedEnsemble.from_json(obj)
+
+
 class TestFitBoosted:
     def test_separable_blobs_reach_zero_training_error(self):
         data = make_gaussian_blobs(80, 40, 2, 6.0, 0)

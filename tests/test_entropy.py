@@ -66,6 +66,25 @@ class TestFitGnb:
             fit_gnb(Dataset(X, y))
 
 
+class TestModelChecks:
+    @pytest.mark.parametrize("field, value", [("smoothing", float("nan")),
+                                              ("variances", np.array([[np.nan], [1.0]])),
+                                              ("priors", np.array([np.nan, 0.5])),
+                                              ("smoothing", 0.0),
+                                              ("variances", np.array([[1e-13], [1.0]]))])
+    def test_rejected(self, field, value):
+        fields = {"priors": np.array([0.5, 0.5]), "means": np.array([[0.0], [2.0]]),
+                  "variances": np.array([[1.0], [1.0]]), "smoothing": 1e-12}
+        fields[field] = value
+        with pytest.raises(ValueError):
+            GaussianNBModel(**fields)
+
+    def test_nan_smoothing_does_not_fit(self):
+        data = make_gaussian_blobs(20, 10, 2, 2.0, 5)
+        with pytest.raises(ValueError, match="variances must be >= smoothing > 0"):
+            fit_gnb(data, var_smoothing=float("nan"))
+
+
 class TestPosterior:
     def test_symmetry_midpoint(self):
         p = posterior(symmetric_model(), np.array([1.0]))

@@ -3,12 +3,15 @@
 `_NeighbourLists.nearest(P, keys, k)` must return exactly `nearest_rows(P, Q,
 k)` after any sequence of deletions and appends, and boosting with k-NN must
 give the same reports, ensembles and margins as a full search per round and
-per member.
+per member. An update, which screens the appended rows with one matrix
+product, must leave the lists exactly as one that computes every (query,
+appended row) distance.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from resmoteboost import (BoostConfig, BoostedEnsemble, Dataset, ExperimentConfig, KNNLearner,
                           NEGATIVE, POSITIVE, RandomSource, fit_boosted, make_gaussian_blobs,
@@ -93,6 +96,113 @@ class TestAgainstFullSearch:
         np.testing.assert_array_equal(lists.nearest(P, None, 2), nearest_rows(P, Q, 2))
         assert lists.keys is None
         assert lists.nearest(P[:0], np.array([], dtype=int), 2).shape == (2, 0)
+
+
+def full_update(lists, P, keys, tail):
+    """(keys, distances, counts, bounds) of the lists after an update of the
+    pool to P whose rows from `tail` on are appended, with every (query,
+    appended row) distance computed exactly and each list merged row by row."""
+    Q, D, n_app = lists.Q, lists.depth, len(P) - tail
+    d_app = np.linalg.norm(P[np.tile(np.arange(tail, len(P)), len(Q))]
+                           - Q[np.repeat(np.arange(len(Q)), n_app)], axis=1).reshape(len(Q), n_app)
+    nb_k, nb_d = np.full_like(lists.nb_k, -1), np.full_like(lists.nb_d, np.inf)
+    count, bound = lists.count.copy(), lists.bound.copy()
+    for r in range(len(Q)):
+        entries = [(lists.nb_d[r, c], lists.nb_k[r, c]) for c in range(lists.count[r])
+                   if lists.nb_k[r, c] in keys]
+        entries += [(d_app[r, j], keys[tail + j]) for j in range(n_app) if d_app[r, j] < bound[r]]
+        entries.sort(key=lambda e: e[0])   # stable: list entries first, then by key
+        entries = entries[:D]
+        count[r] = len(entries)
+        for c, (dist, key) in enumerate(entries):
+            nb_d[r, c], nb_k[r, c] = dist, key
+        if count[r] == D:
+            bound[r] = nb_d[r, -1]
+    return nb_k, nb_d, count, bound
+
+
+class TestScreenedUpdate:
+    # squares near 1e154 overflow in the distances as in the full computation
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(KINDS + ("grid",) * 4), n0=st.integers(1, 30),
+           n_q=st.integers(1, 12), d=st.integers(1, 4), k=st.integers(1, 6),
+           n_tie=st.integers(0, 4), n_new=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    def test_update_matches_the_full_pair_computation(self, kind, n0, n_q, d, k, n_tie, n_new,
+                                                      seed):
+        rng = np.random.default_rng(seed)
+        P = make_rows(kind, n0, d, rng)
+        Q = np.vstack([P[rng.integers(0, n0, size=n_q // 2)],
+                       make_rows(kind, n_q - n_q // 2, d, rng)])
+        lists = _NeighbourLists(Q)
+        lists.nearest(P, np.arange(n0), k)
+        # appended: copies of some queries' last listed rows, exactly at their
+        # bound distance once the lists are full, copies of queries and fresh rows
+        last = lists.nb_k[rng.integers(0, n_q, size=n_tie), lists.count[0] - 1]
+        A = np.vstack([P[last], Q[rng.integers(0, n_q, size=rng.integers(0, 3))],
+                       make_rows(kind, n_new, d, rng)])
+        kept = rng.random(n0) >= rng.choice([0.0, 0.1, 0.5])
+        P2 = np.vstack([P[kept], A])
+        if len(P2) == 0:
+            return
+        keys2 = np.concatenate([np.flatnonzero(kept), n0 + np.arange(len(A))])
+        want = full_update(lists, P2, keys2, int(kept.sum()))
+        lists._update(P2, keys2, int(kept.sum()))
+        np.testing.assert_array_equal(lists.nb_k, want[0])
+        assert lists.nb_d.tobytes() == want[1].tobytes()
+        np.testing.assert_array_equal(lists.count, want[2])
+        assert lists.bound.tobytes() == want[3].tobytes()
+
+    def test_near_ties_below_the_rounding_of_the_squares_are_admitted(self):
+        # |q|^2 = 9 rounds at about 1e-15, the squared distances are below 4e-24
+        Q = np.array([[3.0]])
+        P = 3.0 + np.array([[1e-12], [2e-12]])
+        for t in range(1, 20):
+            lists = _NeighbourLists(Q)
+            lists.nearest(P, np.arange(2), 1)
+            appended = np.vstack([P, [[3.0 + t * 1e-13]]])
+            np.testing.assert_array_equal(lists.nearest(appended, np.arange(3), 1),
+                                          nearest_rows(appended, Q, 1))
+            assert 2 in lists.nb_k[0]   # nearer than the bound, about 2e-12
+
+    # the query's 2k = 2 entries, at 3e153 and 4e153, set the bound; the
+    # appended row at 1.5e153 is nearer and must be admitted
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("q, appended", [
+        (1.2e154, 1.35e154),   # |a|^2 overflows; |q|^2 + b^2 does not
+        (2.0e154, 2.15e154),   # both overflow
+        (-2.0e154, -2.15e154),
+    ])
+    def test_overflowing_squares_admit_near_rows(self, q, appended):
+        Q = np.array([[q]])
+        P = np.array([[q - 3e153], [q + 4e153]])
+        lists = _NeighbourLists(Q)
+        np.testing.assert_array_equal(lists.nearest(P, np.arange(2), 1), [[0]])
+        P = np.vstack([P, [[appended]]])
+        np.testing.assert_array_equal(lists.nearest(P, np.arange(3), 1), [[2]])
+        np.testing.assert_array_equal(lists.nb_k, [[2, 0]])
+
+    def test_far_appended_rows_get_no_exact_distance(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        Q, P = rng.normal(size=(20, 3)), rng.normal(size=(40, 3))
+        lists = _NeighbourLists(Q)
+        lists.nearest(P, np.arange(40), 3)   # 40 rows fill every list of 2k = 6
+        A = np.vstack([Q[:2], 1e3 + rng.normal(size=(30, 3))])   # 30 rows far away
+        P2 = np.vstack([P, A])
+        want = nearest_rows(P2, Q, 3)
+        admitted = (cdist(Q, A) < lists.bound[:, None]).sum()
+        assert 2 <= admitted <= 40
+        pairs = []
+        real = np.linalg.norm
+
+        def counting(x, *args, **kwargs):
+            pairs.append(len(x))
+            return real(x, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        got = lists.nearest(P2, np.arange(len(P2)), 3)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, want)
+        assert sum(pairs) == admitted   # of 20 * 32 pairs
 
 
 class SearchCounter:
