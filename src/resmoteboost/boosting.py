@@ -322,10 +322,10 @@ def _rebalance(train: Dataset, maj_idx, min_idx, syn_X, cfg: BoostConfig,
     else:  # double_pruning
         k_eff = min(cfg.k, len(maj_idx) - 1)
         if k_eff >= 1:
-            keep, retained = pruning_step(train.subset(maj_idx), minority,
-                                          replace(cfg.pruning, k=k_eff), rng, stats=audit)
+            keep, rows = pruning_step(train.subset(maj_idx), minority,
+                                      replace(cfg.pruning, k=k_eff), rng, stats=audit)
             maj_idx = maj_idx[keep]
-            syn_X = np.vstack([syn_X] + [c.x for c in retained])
+            syn_X = np.vstack([syn_X, rows])
     return maj_idx, syn_X
 
 
@@ -337,8 +337,10 @@ def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSo
     only the per-round fit with weight 1/N. The error E_t and the exponential
     weight update are computed on the original distribution.
 
-    When `capture` is a dict it receives the final balanced pool ("X", "y")
-    and the provenance records of every retained synthetic ("synthetics").
+    When `capture` is a dict it receives the last kept round's pool ("X",
+    "y") and the provenance records of its synthetic rows ("synthetics"),
+    one per row in row order; only the double-pruning rebalancer writes
+    records, so the list is empty for the other rebalancers.
     """
     partition_by_class(train)  # validates both classes present
     N = len(train)
@@ -346,6 +348,7 @@ def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSo
     min_idx = np.flatnonzero(train.y == POSITIVE)
     fresh = (np.flatnonzero(train.y == NEGATIVE), np.empty((0, train.dimension)))
     maj_idx, syn_X = fresh
+    records = []   # with `capture`: provenance records of the rows of syn_X, in order
     # Pool row keys rise with pool position and survive deletions: a train
     # row's position in the first pool, N + a count for synthetics.
     rank = np.empty(N, dtype=np.intp)
@@ -358,8 +361,11 @@ def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSo
         audit = {}
         if cfg.fresh_pools:
             syn_base += len(syn_X)
-            maj_idx, syn_X = fresh
+            (maj_idx, syn_X), records = fresh, []
         maj_idx, syn_X = _rebalance(train, maj_idx, min_idx, syn_X, cfg, rng, audit)
+        added = audit.pop("synthetics", [])
+        if capture is not None:
+            records = records + added
 
         orig_idx = np.concatenate([maj_idx, min_idx])
         n_syn = len(syn_X)
@@ -399,12 +405,10 @@ def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSo
             "n_majority": int(len(maj_idx)),
             "n_minority": int(len(min_idx) + n_syn),
             "n_synthetic": int(n_syn),
-            "rebalance": {k: v for k, v in audit.items() if k != "synthetics"},
+            "rebalance": audit,
         })
         if capture is not None:
-            capture.setdefault("synthetics", []).extend(audit.get("synthetics", []))
-            capture["X"] = X_fit
-            capture["y"] = y_fit
+            capture.update(X=X_fit, y=y_fit, synthetics=records)
 
     if not learners:
         raise RuntimeError("boosting failed: no base learner achieved error < 0.5")

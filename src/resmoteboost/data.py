@@ -47,14 +47,10 @@ class RandomSource:
     """Seedable uniform random source used by every stochastic operation.
 
     One documented generator (numpy PCG64) is used everywhere; identical seeds
-    give identical draw sequences within this implementation. Instances are
-    single-owner: concurrent work must use `spawn` to derive independent
-    sources. `rounds` makes many rounds of scalar `integers(0, h)` and
-    `uniform()` calls in one array call, with the values and the generator
-    state of the scalar calls.
+    give identical draw sequences within this implementation. `rounds` makes
+    many rounds of scalar `integers(0, h)` and `uniform()` calls in one
+    array call, with the values and the generator state of the scalar calls.
     """
-
-    algorithm_id = "numpy-pcg64"
 
     def __init__(self, seed: int):
         self.seed = int(seed)
@@ -150,16 +146,11 @@ class RandomSource:
         self._gen.bit_generator.state = after
         return flat.reshape(n, -1)
 
-    def spawn(self, index: int) -> "RandomSource":
-        """Independent child source derived deterministically from this seed."""
-        return RandomSource(mix_seed(self.seed, index))
-
 
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float = 0.8
     stratified: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:

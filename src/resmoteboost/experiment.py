@@ -9,7 +9,7 @@ are aggregated across replications with mean and sample standard deviation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -70,13 +70,7 @@ class ExperimentConfig:
             raise ValueError(f"cv_folds must be None or >= 2, got {self.cv_folds}")
 
     def to_json(self) -> dict:
-        return {
-            "method": self.method, "base_learner": self.base_learner, "k": self.k,
-            "k_neighbors": self.k_neighbors, "t_max": self.t_max,
-            "test_fraction": self.test_fraction, "stratified": self.stratified,
-            "replications": self.replications, "seed": self.seed,
-            "fresh_pools": self.fresh_pools, "cv_folds": self.cv_folds,
-        }
+        return asdict(self)
 
 
 def default_k(n_majority: int, n_minority: int) -> int:
@@ -173,8 +167,7 @@ def run_replication(data: Dataset, cfg: ExperimentConfig, index: int,
     if cfg.cv_folds:
         train_idx, test_idx = _fold_indices(data, cfg.cv_folds, cfg.seed, index)
     else:
-        spec = SplitSpec(train_fraction=1.0 - cfg.test_fraction,
-                         stratified=cfg.stratified, seed=seed_i)
+        spec = SplitSpec(train_fraction=1.0 - cfg.test_fraction, stratified=cfg.stratified)
         train_idx, test_idx = split_indices(data, spec, rng)
     train, test = data.subset(train_idx), data.subset(test_idx)
     pred, scores, info = train_and_score(train, test, cfg, rng, capture=capture)

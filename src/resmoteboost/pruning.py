@@ -503,12 +503,8 @@ def smote_points(X, n: int, k_neighbors: int, rng: RandomSource, seeds=None):
         seeds = first if seeds is None else seeds(first)
     else:
         draws = rng.rounds([n_slots, None], n)
-    return _interpolate(X, np.asarray(seeds).astype(np.intp), draws[:, 0].astype(np.intp),
-                        draws[:, 1])
-
-
-def _interpolate(X, seeds, slots, alphas):
-    """smote_points' result for the drawn seed positions, neighbor slots and alphas."""
+    seeds, slots = np.asarray(seeds).astype(np.intp), draws[:, 0].astype(np.intp)
+    alphas = draws[:, 1]
     unique, inverse = np.unique(seeds, return_inverse=True)
     nb = nearest_rows(X, X[unique], int(slots.max(initial=-1)) + 1, exclude=unique)[inverse, slots]
     S = X[seeds]
@@ -520,18 +516,15 @@ def smote_interpolate(seed, minority: Dataset, seed_index: int, k_neighbors: int
     """Linear interpolation between a minority seed and one of its minority
     nearest neighbors: x = seed + alpha * (neighbor - seed), alpha ~ U[0,1).
     `seed` must be row `seed_index` of the minority set. The neighbor slot
-    and alpha are drawn as smote_points draws them."""
+    and alpha are drawn by smote_points."""
     if len(minority) < 2:
         raise ValueError("need at least 2 minority samples to interpolate")
     seed_x = minority.X[seed_index]
     if not np.array_equal(np.asarray(seed, dtype=float), seed_x):
         raise ValueError(f"seed is not minority row {seed_index}")
-    slot = rng.integers(0, min(k_neighbors, len(minority) - 1))
-    alpha = float(rng.uniform())
-    x, _, nb, _ = _interpolate(minority.X, np.array([seed_index], dtype=np.intp),
-                               np.array([slot], dtype=np.intp), np.array([alpha]))
+    x, _, nb, alpha = smote_points(minority.X, 1, k_neighbors, rng, [seed_index])
     return SyntheticSample(x=x[0], seed_index=int(seed_index), neighbor_index=int(nb[0]),
-                           alpha=alpha, seed_x=seed_x)
+                           alpha=float(alpha[0]), seed_x=seed_x)
 
 
 def _accept(C, S, M):
@@ -564,15 +557,6 @@ def _top_entropy(model, X, k: int):
     return np.argsort(-ent, kind="stable")[: min(k, len(X))], ent
 
 
-def _entropy_filter(model, candidates, k: int):
-    """The min(k, n) highest-entropy candidates under `model`, each carrying
-    its entropy, in descending entropy order; ties keep the lower index first."""
-    order, ent = _top_entropy(model, np.vstack([c.x for c in candidates]), k)
-    for c, h in zip(candidates, ent):
-        c.entropy = float(h)
-    return [candidates[i] for i in order]
-
-
 def noise_filter(candidates, pool: Dataset, k: int):
     """Keep the min(k, n) highest-entropy candidates under a model fit on pool.
 
@@ -581,12 +565,18 @@ def noise_filter(candidates, pool: Dataset, k: int):
     """
     if len(candidates) == 0:
         raise ValueError("no candidates to filter")
-    return _entropy_filter(fit_gnb(pool), candidates, k)
+    order, ent = _top_entropy(fit_gnb(pool), np.vstack([c.x for c in candidates]), k)
+    for c, h in zip(candidates, ent):
+        c.entropy = float(h)
+    return [candidates[i] for i in order]
 
 
 def _oversample(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
                 rng: RandomSource, stats: dict | None):
-    """The synthetics minority_class_pruning adds, noise-filtered under `model`."""
+    """The rows of the synthetics minority_class_pruning adds, noise-filtered
+    under `model`, in descending entropy order. `stats` receives the counts
+    and, when some are retained, one provenance record per row
+    ("synthetics"), as SyntheticSample.to_json writes it."""
     seeds_of = _roulette_seeds(minority, majority, cfg.epsilon)
     target = math.ceil(cfg.candidate_multiplier * cfg.k)
     cap = cfg.effective_spin_cap
@@ -602,27 +592,26 @@ def _oversample(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
         dist_min, dist_maj, ok = _accept(C, X[seeds], majority.X)
         chunks.append([a[ok] for a in (C, seeds, nb, alphas, dist_min, dist_maj)])
         accepted += int(ok.sum())
-    retained = []
+    rows, records = np.empty((0, X.shape[1])), []
     if accepted:
         C, seeds, nb, alphas, dist_min, dist_maj = (np.concatenate(a) for a in zip(*chunks))
         order, ent = _top_entropy(model, C, cfg.k)
-        retained = [SyntheticSample(x=C[i], seed_index=int(seeds[i]), neighbor_index=int(nb[i]),
-                                    alpha=float(alphas[i]), seed_x=X[seeds[i]],
-                                    dist_min=float(dist_min[i]), dist_maj=float(dist_maj[i]),
-                                    entropy=float(ent[i]))
-                    for i in order]
+        rows = C[order]
+        records = [{"x": C[i].tolist(), "seed_index": int(seeds[i]),
+                    "neighbor_index": int(nb[i]), "alpha": float(alphas[i]),
+                    "dist_min": float(dist_min[i]), "dist_maj": float(dist_maj[i]),
+                    "entropy": float(ent[i])} for i in order]
     if stats is not None:
-        stats.update(spins=spins, accepted=accepted, retained=len(retained))
-        if retained:
-            stats["synthetics"] = [c.to_json() for c in retained]
-    return retained
+        stats.update(spins=spins, accepted=accepted, retained=len(rows))
+        if records:
+            stats["synthetics"] = records
+    return rows
 
 
-def _with_synthetics(minority: Dataset, retained) -> Dataset:
-    if not retained:
+def _with_synthetics(minority: Dataset, rows) -> Dataset:
+    if len(rows) == 0:
         return minority
-    syn = Dataset(np.vstack([c.x for c in retained]),
-                  np.full(len(retained), POSITIVE),
+    syn = Dataset(rows, np.full(len(rows), POSITIVE),
                   feature_names=minority.feature_names,
                   source_tag=minority.source_tag)
     return minority.concat(syn)
@@ -650,10 +639,10 @@ def pruning_step(majority: Dataset, minority: Dataset, cfg: PruningConfig,
     """One double-pruning step. A single naive Bayes model, fit on
     majority ∪ minority, scores both the majority rows and the candidates.
 
-    Returns (keep, retained): the sorted positions of the majority rows kept
-    (all but the cfg.k lowest-entropy ones) and the retained synthetics
-    (at most cfg.k, in descending entropy order). With k = 0 the candidate
-    target is 0, so nothing is removed or added.
+    Returns (keep, rows): the sorted positions of the majority rows kept
+    (all but the cfg.k lowest-entropy ones) and the rows of the retained
+    synthetics (at most cfg.k, in descending entropy order). With k = 0 the
+    candidate target is 0, so nothing is removed or added.
     """
     if cfg.k >= len(majority):
         raise ValueError(f"k={cfg.k} must be smaller than the majority size {len(majority)}")
@@ -670,5 +659,5 @@ def double_pruning(majority: Dataset, minority: Dataset, cfg: PruningConfig,
 
     Returns (new_majority, new_minority); inputs are never mutated.
     """
-    keep, retained = pruning_step(majority, minority, cfg, rng, stats=stats)
-    return majority.subset(keep), _with_synthetics(minority, retained)
+    keep, rows = pruning_step(majority, minority, cfg, rng, stats=stats)
+    return majority.subset(keep), _with_synthetics(minority, rows)

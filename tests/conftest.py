@@ -3,8 +3,21 @@ fixed, derandomized example set without deadlines, so a shared CI runner can
 neither draw a new failing example nor time a slow one out."""
 
 import os
+import warnings
 
 from hypothesis import settings
+
+# Hypothesis imports libcst to report a failing example, and libcst's import
+# raises mypy_extensions' TypedDict DeprecationWarning; under `-W error` that
+# turns the failure report into a pytest INTERNALERROR. Import it here, with
+# only that warning silenced, so a failing property test prints its example.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                            DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

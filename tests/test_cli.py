@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from resmoteboost import load_csv, mix_seed
+from resmoteboost import POSITIVE, load_csv, mix_seed
 from resmoteboost.cli import main
 
 
@@ -89,6 +89,24 @@ class TestRun:
         assert "synthetics" in sidecar
         for entry in sidecar["synthetics"]:
             assert 0.0 <= entry["alpha"] <= 1.0
+
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_sidecar_records_each_dumped_synthetic(self, tmp_path, fresh):
+        # one provenance record per synthetic row of the dumped pool, in row
+        # order, also when --fresh-pools drops each round's synthetics
+        data_csv, out, dump = tmp_path / "blobs.csv", tmp_path / "r.json", tmp_path / "pool.csv"
+        run_cli(["gen", "--n-maj", "120", "--n-min", "30", "--seed", "0", "--out", str(data_csv)])
+        assert run_cli(["run", "--data", str(data_csv), "--method", "re_smoteboost",
+                        "--replications", "1", "--seed", "0", "--out", str(out),
+                        "--dump-resampled", str(dump)] + ["--fresh-pools"] * fresh) == 0
+        data = load_csv(data_csv, "label", "pos")
+        test_idx = json.loads(out.read_text())["replications"][0]["test_indices"]
+        n_train_min = data.n_positive - int((data.y[test_idx] == POSITIVE).sum())
+        dumped = load_csv(dump, "label", "pos")
+        synthetic = dumped.X[dumped.y == POSITIVE][n_train_min:]
+        records = json.loads((tmp_path / "pool.csv.provenance.json").read_text())["synthetics"]
+        assert len(synthetic) > 0
+        assert [r["x"] for r in records] == synthetic.tolist()
 
     def run_cv(self, blob_csv, tmp_path, *extra):
         out = tmp_path / "cv.json"

@@ -234,7 +234,7 @@ def test_test_split_never_reaches_training(method, learner, cv, n_maj, n_min, da
         if cv:
             test_idx = _fold_indices(data, 3, seed, i)[1]
         else:
-            spec = SplitSpec(train_fraction=0.8, stratified=True, seed=seed_i)
+            spec = SplitSpec(train_fraction=0.8, stratified=True)
             test_idx = split_indices(data, spec, RandomSource(seed_i))[1]
         assert r["test_indices"] == test_idx.tolist()
         test_rows = {row.tobytes() for row in data.X[test_idx]}

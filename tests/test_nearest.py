@@ -19,7 +19,8 @@ from resmoteboost import (ClassPartition, Dataset, KNNLearner, NEGATIVE, POSITIV
                           PruningConfig, RandomSource, SyntheticSample, build_roulette,
                           fit_gnb, make_gaussian_blobs, regularization_accept,
                           smote_interpolate, spin, tomek_links)
-from resmoteboost.pruning import _entropy_filter, _nearest, _oversample, nearest_rows
+from resmoteboost.entropy import entropy_batch, posterior_batch
+from resmoteboost.pruning import _nearest, _oversample, nearest_rows
 from resmoteboost.samplers import _majority_neighbor_counts
 
 
@@ -125,6 +126,14 @@ def old_regularization_accept(candidate, majority):
     return candidate.dist_min <= candidate.dist_maj
 
 
+def old_entropy_filter(model, candidates, k):
+    """The per-candidate noise filter the candidate loop used to apply."""
+    ent = entropy_batch(posterior_batch(model, np.vstack([c.x for c in candidates])))
+    for c, h in zip(candidates, ent):
+        c.entropy = float(h)
+    return [candidates[i] for i in np.argsort(-ent, kind="stable")[:k]]
+
+
 def oversample_oracle(majority, minority, cfg, model, rng, stats):
     """One spin, one candidate and one acceptance test at a time."""
     wheel = build_roulette(minority, majority, cfg.epsilon)
@@ -138,7 +147,7 @@ def oversample_oracle(majority, minority, cfg, model, rng, stats):
                                           cfg.k_neighbors, rng)
         if old_regularization_accept(candidate, majority):
             accepted.append(candidate)
-    retained = _entropy_filter(model, accepted, cfg.k) if accepted else []
+    retained = old_entropy_filter(model, accepted, cfg.k) if accepted else []
     stats.update(spins=spins, accepted=len(accepted), retained=len(retained))
     if retained:
         stats["synthetics"] = [c.to_json() for c in retained]
@@ -231,6 +240,22 @@ def pools(kind: str, n_maj: int, n_min: int, d: int, seed: int):
     return (Dataset(X_maj, np.full(n_maj, NEGATIVE)), Dataset(X_min, np.full(n_min, POSITIVE)))
 
 
+def assert_matches_oracle(majority, minority, cfg, seed):
+    """_oversample against oversample_oracle: the same rows bit for bit, the
+    same stats (provenance records included) and the same generator state.
+    Returns the stats."""
+    model = fit_gnb(majority.concat(minority))
+    rng_new, rng_old = RandomSource(seed), RandomSource(seed)
+    stats_new, stats_old = {}, {}
+    rows = _oversample(majority, minority, cfg, model, rng_new, stats_new)
+    old = oversample_oracle(majority, minority, cfg, model, rng_old, stats_old)
+    assert stats_new == stats_old
+    expected = np.array([c.x for c in old]).reshape(len(old), minority.dimension)
+    assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+    assert rng_new._gen.bit_generator.state == rng_old._gen.bit_generator.state
+    return stats_new
+
+
 class TestOversampleOracle:
     @settings(max_examples=120, deadline=None)
     @given(kind=st.sampled_from(("overlap", "apart", "grid")), n_maj=st.integers(3, 60),
@@ -243,27 +268,12 @@ class TestOversampleOracle:
         # a spin cap of k (+ a little) stops most overlapping runs at the cap
         cfg = PruningConfig(k=k, k_neighbors=k_neighbors, candidate_multiplier=multiplier,
                             spin_cap=None if cap_extra is None else k + cap_extra)
-        model = fit_gnb(majority.concat(minority))
-        rng_new, rng_old = RandomSource(seed), RandomSource(seed)
-        stats_new, stats_old = {}, {}
-        new = _oversample(majority, minority, cfg, model, rng_new, stats_new)
-        old = oversample_oracle(majority, minority, cfg, model, rng_old, stats_old)
-        assert stats_new == stats_old
-        assert len(new) == len(old)
-        for a, b in zip(new, old):
-            assert a.x.tobytes() == b.x.tobytes()
-            assert a.to_json() == b.to_json()
-        assert rng_new._gen.bit_generator.state == rng_old._gen.bit_generator.state
+        assert_matches_oracle(majority, minority, cfg, seed)
 
     def test_spin_cap_stops_the_loop(self):
         majority, minority = pools("overlap", 60, 10, 2, 1)
-        cfg = PruningConfig(k=20, spin_cap=20)
-        stats_new, stats_old = {}, {}
-        model = fit_gnb(majority.concat(minority))
-        _oversample(majority, minority, cfg, model, RandomSource(4), stats_new)
-        oversample_oracle(majority, minority, cfg, model, RandomSource(4), stats_old)
-        assert stats_new["spins"] == 20 and stats_new["accepted"] < 40
-        assert stats_new == stats_old
+        stats = assert_matches_oracle(majority, minority, PruningConfig(k=20, spin_cap=20), 4)
+        assert stats["spins"] == 20 and stats["accepted"] < 40
 
 
 def old_knn_score(learner, X):

@@ -130,11 +130,8 @@ class TestInterpolate:
         minority = Dataset(np.array([[0.0, 0.0], [2.0, 4.0]]), np.full(2, POSITIVE))
 
         class HalfRng:
-            def integers(self, low, high=None, size=None):
-                return 0
-
-            def uniform(self, size=None):
-                return 0.5
+            def rounds(self, highs, n):   # neighbor slot 0, alpha 0.5
+                return np.tile([0.0, 0.5], (n, 1))
 
         s = smote_interpolate(minority.X[0], minority, 0, 5, HalfRng())
         np.testing.assert_allclose(s.x, [1.0, 2.0])
@@ -144,11 +141,8 @@ class TestInterpolate:
         minority = Dataset(np.array([[0.0, 0.0], [2.0, 4.0]]), np.full(2, POSITIVE))
 
         class ZeroRng:
-            def integers(self, low, high=None, size=None):
-                return 0
-
-            def uniform(self, size=None):
-                return 0.0
+            def rounds(self, highs, n):   # neighbor slot 0, alpha 0
+                return np.zeros((n, 2))
 
         s = smote_interpolate(minority.X[0], minority, 0, 5, ZeroRng())
         np.testing.assert_array_equal(s.x, minority.X[0])

@@ -15,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from resmoteboost import (Dataset, NEGATIVE, POSITIVE, PruningConfig, RandomSource,
-                          RouletteWheel, build_roulette, fit_gnb, spin)
+                          RouletteWheel, build_roulette, spin)
 from resmoteboost import pruning
-from resmoteboost.pruning import (_certified_cumulative, _oversample, _roulette_seeds,
-                                  _roulette_sums, smote_points)
+from resmoteboost.pruning import (_certified_cumulative, _roulette_seeds, _roulette_sums,
+                                  smote_points)
 
-from test_nearest import KINDS, make_rows, oversample_oracle, pools
+from test_nearest import KINDS, assert_matches_oracle, make_rows, pools
 
 
 def classes(X_min, X_maj):
@@ -196,19 +196,6 @@ class TestSpins:
         assert a._gen.bit_generator.state == b._gen.bit_generator.state
 
 
-def _assert_matches_oracle(majority, minority, cfg, seed):
-    model = fit_gnb(majority.concat(minority))
-    rng_new, rng_old = RandomSource(seed), RandomSource(seed)
-    stats_new, stats_old = {}, {}
-    new = _oversample(majority, minority, cfg, model, rng_new, stats_new)
-    old = oversample_oracle(majority, minority, cfg, model, rng_old, stats_old)
-    assert stats_new == stats_old and len(new) == len(old)
-    for a, b in zip(new, old):
-        assert a.x.tobytes() == b.x.tobytes()
-        assert a.to_json() == b.to_json()
-    assert rng_new._gen.bit_generator.state == rng_old._gen.bit_generator.state
-
-
 class TestUncertifiedRounds:
     def test_coincident_row_takes_exact_wheel(self, exact_builds):
         # minority row 0 coincides with every majority row: its sum is 0 and
@@ -217,7 +204,7 @@ class TestUncertifiedRounds:
         X_min = np.array([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0], [2.0, 2.0]])
         minority, majority = classes(X_min, X_maj)
         assert _certified_cumulative(X_min, X_maj, 1e-12) is None
-        _assert_matches_oracle(majority, minority, PruningConfig(k=3, k_neighbors=2), 5)
+        assert_matches_oracle(majority, minority, PruningConfig(k=3, k_neighbors=2), 5)
         assert len(exact_builds) == 1
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -227,13 +214,13 @@ class TestUncertifiedRounds:
         majority = Dataset(majority.X * 1e-150, majority.y)
         minority = Dataset(minority.X * 1e-150, minority.y)
         assert _certified_cumulative(minority.X, majority.X, 1e-12) is None
-        _assert_matches_oracle(majority, minority, PruningConfig(k=4), seed)
+        assert_matches_oracle(majority, minority, PruningConfig(k=4), seed)
         assert len(exact_builds) == 1
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_typical_round_builds_no_exact_wheel(self, exact_builds, seed):
         majority, minority = pools("overlap", 60, 15, 3, seed)
-        _assert_matches_oracle(majority, minority, PruningConfig(k=6), seed)
+        assert_matches_oracle(majority, minority, PruningConfig(k=6), seed)
         assert len(exact_builds) == 0
 
     def test_empty_class_raises_as_build_roulette(self):
