@@ -6,10 +6,12 @@ The balancing step combines:
   naive Bayes model fit on the current pool;
 * minority oversampling — roulette-wheel seed selection where a minority
   sample's fitness is the reciprocal of its summed L1 distance to the
-  majority class, SMOTE-style interpolation toward a minority neighbor, a
-  regularization acceptance test (the synthetic must be at least as close to
-  its seed as to the nearest majority sample), and an entropy noise filter
-  that keeps only the k most class-ambiguous candidates.
+  majority class (one wheel per round, its sums taken from sorted majority
+  columns and their prefix sums), SMOTE-style interpolation toward a
+  minority neighbor, a regularization acceptance test (the synthetic must
+  be at least as close to its seed as to the nearest majority sample), and
+  an entropy noise filter that keeps only the k most class-ambiguous
+  candidates.
 
 All tie-breaks are "lower index first" so results are deterministic for a
 given RandomSource.
@@ -125,16 +127,42 @@ def build_roulette(minority: Dataset, majority: Dataset, epsilon: float = 1e-12)
     Fitness is the reciprocal of the summed Manhattan distance to all
     majority samples, so minority points near the majority distribution (the
     overlap region) are more likely to seed synthetics.
+
+    The sums come from each majority column sorted and centred on its middle
+    element c, and its prefix sums, with no minority x majority matrix. A
+    row's centred value a splits the column z at p = searchsorted(z, a,
+    "right"), so its summed distance to the column is (p a - H) + ((T - H)
+    - (n - p) a), with H the sum of the p values below the split and T the
+    column total. This arithmetic defines the wheel; each sum is within
+    (8n + 4d + 32) 2^-53 W of scipy's cdist(X, Y, "cityblock").sum(axis=1),
+    where W = n sum_j |a_j| + sum_ij |z_ij|. Sums that overflow raise
+    ValueError.
     """
     if len(minority) == 0 or len(majority) == 0:
         raise ValueError("both classes must be non-empty")
-    rows = max(1, _BLOCK // len(majority))
-    M = np.concatenate([_cityblock(minority.X[lo:lo + rows], majority.X).sum(axis=1)
-                        for lo in range(0, len(minority), rows)])
+    n, d = majority.X.shape
+    Z = np.sort(majority.X, axis=0)
+    c = Z[n // 2].copy()
+    Z -= c                      # t -> fl(t - c) is monotone: columns stay sorted
+    A = minority.X - c
+    P = np.zeros((n + 1, d))
+    M = np.zeros(len(A))
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        np.cumsum(Z, axis=0, out=P[1:])
+        for j in range(d):
+            a = A[:, j]
+            p = np.searchsorted(Z[:, j], a, side="right")
+            H = P[p, j]
+            M += (p * a - H) + ((P[n, j] - H) - (n - p) * a)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("the summed L1 distances from the minority to the majority "
+                         "rows overflowed; rescale the features")
     fitness = 1.0 / np.maximum(M, epsilon)
     probabilities = fitness / fitness.sum()
-    cumulative = np.cumsum(probabilities)
-    cumulative[-1] = 1.0  # kill accumulated round-off at the top bucket
+    # the running sum can round above 1 before the top bucket: clip, then
+    # kill the round-off at the top bucket
+    cumulative = np.minimum(np.cumsum(probabilities), 1.0)
+    cumulative[-1] = 1.0
     return RouletteWheel(
         seed_indices=np.arange(len(minority)),
         distances=M,
@@ -142,17 +170,6 @@ def build_roulette(minority: Dataset, majority: Dataset, epsilon: float = 1e-12)
         probabilities=probabilities,
         cumulative=cumulative,
     )
-
-
-def _cityblock(X, Y) -> np.ndarray:
-    """L1 distances: entry (i, j) adds |X[i, f] - Y[j, f]| over the features
-    f in order, starting from 0, as scipy's cdist(X, Y, "cityblock") does."""
-    out = np.zeros((len(X), len(Y)))
-    with np.errstate(over="ignore", invalid="ignore"):   # inf and NaN flow into the sums
-        for f in range(X.shape[1]):
-            t = np.subtract.outer(X[:, f], Y[:, f])
-            out += np.abs(t, out=t)
-    return out
 
 
 def spin(wheel: RouletteWheel, n_draws: int, rng: RandomSource) -> np.ndarray:
@@ -166,123 +183,6 @@ def _select(wheel: RouletteWheel, r):
     """The seed indices the uniforms r select on `wheel`."""
     idx = np.searchsorted(wheel.cumulative, r, side="right")
     return wheel.seed_indices[np.minimum(idx, len(wheel.seed_indices) - 1)]
-
-
-_U = 2.0 ** -53   # unit roundoff of a double
-
-
-def _roulette_sums(X, Y):
-    """(sums, bounds): per row of X, its summed L1 distance to the rows of Y,
-    from sorted centred columns of Y and their prefix sums, and a bound on
-    its distance from build_roulette's _cityblock sum.
-
-    Each column of Y is sorted and centred on its middle element c. A row's
-    centred value a splits the column at p = searchsorted(z, a, "right"),
-    so its summed distance is (p a - H) + ((T - H) - (n - p) a), with H the
-    prefix sum of the p values z below the split and T the column total.
-    """
-    n, d = Y.shape
-    Z = np.sort(Y, axis=0)
-    c = Z[n // 2].copy()
-    Z -= c                      # t -> fl(t - c) is monotone: columns stay sorted
-    A = X - c
-    P = np.zeros((n + 1, d))
-    np.cumsum(Z, axis=0, out=P[1:])
-    sums = np.zeros(len(X))
-    with np.errstate(invalid="ignore", over="ignore"):   # non-finite sums fall back
-        for j in range(d):
-            a = A[:, j]
-            p = np.searchsorted(Z[:, j], a, side="right")
-            H = P[p, j]
-            sums += (p * a - H) + ((P[n, j] - H) - (n - p) * a)
-        W = n * np.abs(A).sum(axis=1) + np.abs(Z).sum()
-    # Error bound, with u = 2^-53 and gamma_q = q u / (1 - q u), against the
-    # exact sum D = sum_j sum_i |x_j - y_ij|. Writing w_j = n |a_j| +
-    # sum_i |z_ij| for column j and W = sum_j w_j:
-    # - centring: a = (x - c)(1 + t) and z = (y - c)(1 + t') with |t|, |t'| <= u,
-    #   so sum |a - z| is within u/(1 - u) W of sum |x - y| (a sum or
-    #   difference of doubles landing below 2^-1022 is exact, so these
-    #   relative errors hold there too);
-    # - one column: H and T come from sequential sums, each within
-    #   gamma_{n-1} sum_i |z_i| of its exact value, and enter three times; the
-    #   six remaining operations each round a result of size at most 2 w_j.
-    #   So the column term is within gamma_{3n+9} w_j of sum_i |a - z_i|;
-    # - the d column terms, each at most w_j (1 + gamma), add within
-    #   gamma_{d-1} W (1 + gamma);
-    # - build_roulette's _cityblock value of one pair rounds d subtractions and
-    #   d - 1 additions, and its row sum adds n non-negative values in some
-    #   order: within gamma_{n+d} D of D, and D <= W / (1 - u).
-    # The sum of these is below gamma_{4n+2d+10} W. The bound doubles that
-    # multiple, which covers the rounding of W and of the bound itself; the
-    # absolute term covers bounds that underflow.
-    bounds = (8 * n + 4 * d + 32) * _U * W + 1e-300
-    return sums, bounds
-
-
-def _certified_cumulative(X, Y, epsilon: float):
-    """(cumulative, delta): a wheel's cumulative probabilities from the fast
-    sums of _roulette_sums, and a delta such that every entry lies within
-    delta of build_roulette(...).cumulative for the same rows. None when
-    the bounds cannot certify that: a sum or bound is not finite, a row's
-    sum minus its bound is at most 2 epsilon (the epsilon clamp could act
-    on either side) or a sum is so large that fitness could underflow.
-    """
-    if len(X) == 0 or len(Y) == 0:
-        return None             # build_roulette raises
-    sums, bounds = _roulette_sums(X, Y)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho = float(np.max(bounds / (sums - bounds)))
-    if not (np.all(np.isfinite(sums)) and np.all(np.isfinite(bounds))
-            and np.min(sums - bounds) > 2 * epsilon
-            and np.max(sums + bounds) <= 2.0 ** 1000 and rho <= 2.0 ** -10):
-        return None
-    # Every row has M - b > 2 epsilon for the fast sum M and its bound b, so
-    # build_roulette's sum M' (within b of M) is above epsilon too and both
-    # fitnesses are plain reciprocals. |M'/M - 1| <= b / (M - b) <= rho,
-    # so after rounding each reciprocal the exact fitness is the fast one
-    # times (1 + t) with |t| <= tau = rho + 3u (rho <= 2^-10). Scaling each
-    # fitness by 1 + t moves a cumulative share c = A / (A + B) by at most
-    # 2 tau c (1 - c) / (1 - tau) <= tau. Each path then rounds its total
-    # (gamma_{m-1}), each quotient (u, or 2^-1075 below 2^-1022) and its
-    # cumulative sum (gamma_m, all terms positive and summing to 1), so
-    # each entry is within gamma_{2m+2} + m 2^-1074 of the rounding-free
-    # share; the last entry is set to 1, its exact value. delta doubles
-    # tau and the rounding terms, which also covers rounding r +- delta
-    # when a spin is checked against it.
-    fitness = 1.0 / sums
-    cumulative = np.cumsum(fitness / fitness.sum())
-    cumulative[-1] = 1.0
-    return cumulative, 2.0 * (rho + 3 * _U) + (8 * len(sums) + 16) * _U
-
-
-def _roulette_seeds(minority: Dataset, majority: Dataset, epsilon: float):
-    """A map from an array of uniforms r to the seeds
-    spin(build_roulette(minority, majority, epsilon), ...) selects for them.
-
-    The uniforms are located on the certified fast wheel. Those within delta
-    of a fast edge, where the exact wheel's edge might fall on the other
-    side, are answered by the exact wheel, built at most once however often
-    the map is called. When the fast wheel is not certified, the exact wheel
-    answers every uniform.
-    """
-    fast = _certified_cumulative(minority.X, majority.X, epsilon)
-    if fast is None:
-        wheel = build_roulette(minority, majority, epsilon)
-        return lambda r: _select(wheel, r)
-    cumulative, delta = fast
-    wheel = None
-
-    def seeds(r):
-        nonlocal wheel
-        i = np.searchsorted(cumulative, r, side="right")   # < m: the last entry is 1 > r
-        near = (((i > 0) & (cumulative[i - 1] > r - delta))
-                | (cumulative[i] <= r + delta))
-        if near.any():
-            if wheel is None:
-                wheel = build_roulette(minority, majority, epsilon)
-            i[near] = _select(wheel, r[near])
-        return i
-    return seeds
 
 
 def nearest_rows(Q, P, k: int, exclude=None) -> np.ndarray:
@@ -577,7 +477,7 @@ def _oversample(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
     under `model`, in descending entropy order. `stats` receives the counts
     and, when some are retained, one provenance record per row
     ("synthetics"), as SyntheticSample.to_json writes it."""
-    seeds_of = _roulette_seeds(minority, majority, cfg.epsilon)
+    wheel = build_roulette(minority, majority, cfg.epsilon)
     target = math.ceil(cfg.candidate_multiplier * cfg.k)
     cap = cfg.effective_spin_cap
     X = minority.X
@@ -588,7 +488,8 @@ def _oversample(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
         # would make every spin of this chunk too.
         n = min(target - accepted, cap - spins)
         spins += n
-        C, seeds, nb, alphas = smote_points(X, n, cfg.k_neighbors, rng, seeds_of)
+        C, seeds, nb, alphas = smote_points(X, n, cfg.k_neighbors, rng,
+                                             lambda r: _select(wheel, r))
         dist_min, dist_maj, ok = _accept(C, X[seeds], majority.X)
         chunks.append([a[ok] for a in (C, seeds, nb, alphas, dist_min, dist_maj)])
         accepted += int(ok.sum())

@@ -298,15 +298,6 @@ def test_knn_score_matches_row_loop(grid, n, n_neighbors, seed):
     assert learner.score(queries).tobytes() == old_knn_score(learner, queries).tobytes()
 
 
-def test_blocked_roulette_distances_match_full_matrix():
-    data = make_gaussian_blobs(300, 120, 4, 1.0, 6)      # 36000 pairs: several blocks
-    minority = Dataset(data.X[data.y == POSITIVE], data.y[data.y == POSITIVE])
-    majority = Dataset(data.X[data.y == NEGATIVE], data.y[data.y == NEGATIVE])
-    wheel = build_roulette(minority, majority)
-    full = cdist(minority.X, majority.X, metric="cityblock").sum(axis=1)
-    assert wheel.distances.tobytes() == full.tobytes()
-
-
 def test_blocked_tomek_links_match_full_matrix():
     data = make_gaussian_blobs(250, 90, 2, 0.5, 11)      # several blocks
     X = np.round(data.X, 1)                              # tied neighbours
