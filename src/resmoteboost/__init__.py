@@ -17,18 +17,15 @@ from .data import (
     stratified_split,
 )
 from .entropy import (
-    EntropyScore,
     GaussianNBModel,
     fit_gnb,
     posterior,
     posterior_batch,
-    score_entropy,
     shannon_entropy,
 )
 from .pruning import (
     PruningConfig,
     RouletteWheel,
-    SyntheticSample,
     build_roulette,
     double_pruning,
     majority_class_pruning,

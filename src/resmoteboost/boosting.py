@@ -24,7 +24,8 @@ import numpy as np
 
 from .data import Dataset, NEGATIVE, POSITIVE, RandomSource, _integer, partition_by_class
 from .entropy import fit_gnb, log_joint
-from .pruning import PruningConfig, _NeighbourLists, nearest_rows, pruning_step, smote_points
+from .pruning import (PruningConfig, _NeighbourLists, nearest_rows, pruning_step,
+                      smote_interpolate)
 
 _ALPHA_EPS = 1e-10  # clamp for zero training error
 
@@ -316,7 +317,7 @@ def _rebalance(train: Dataset, maj_idx, min_idx, syn_X, cfg: BoostConfig,
     if cfg.rebalancer == "smote":
         if cfg.k >= 1:
             k_nb = cfg.pruning.k_neighbors if cfg.pruning else 5
-            points = smote_points(minority.X, cfg.k, k_nb, rng)[0]
+            points = smote_interpolate(minority.X, cfg.k, k_nb, rng)[0]
             syn_X = np.vstack([syn_X, points])
             audit["added"] = cfg.k
     else:  # double_pruning

@@ -14,7 +14,7 @@ import sys
 
 from .data import (Dataset, imbalance_ratio, load_csv, make_gaussian_blobs,
                    partition_by_class, save_csv)
-from .experiment import ExperimentConfig, METHODS, run_experiment, run_replication
+from .experiment import ExperimentConfig, METHODS, run_experiment
 from .metrics import overlap_feature_count
 
 
@@ -114,7 +114,8 @@ def cmd_run(args) -> int:
         fresh_pools=args.fresh_pools,
         cv_folds=args.cv,
     )
-    report = run_experiment(data, cfg)
+    capture = {} if args.dump_resampled else None
+    report = run_experiment(data, cfg, capture=capture)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
 
@@ -136,8 +137,6 @@ def cmd_run(args) -> int:
             writer.writerow(row)
 
     if args.dump_resampled:
-        capture: dict = {}
-        run_replication(data, cfg, 0, capture=capture)
         dumped = Dataset(capture["X"], capture["y"], feature_names=data.feature_names)
         save_csv(dumped, args.dump_resampled)
         with open(args.dump_resampled + ".provenance.json", "w") as fh:

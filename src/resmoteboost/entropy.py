@@ -33,13 +33,6 @@ class GaussianNBModel:
             raise ValueError("variances must be >= smoothing > 0")
 
 
-@dataclass
-class EntropyScore:
-    sample_index: int
-    posterior: tuple  # (P(neg|x), P(pos|x))
-    entropy: float    # bits, in [0, 1] for two classes
-
-
 def fit_gnb(data: Dataset, weights=None, var_smoothing: float = 1e-9) -> GaussianNBModel:
     """Fit per-class priors and per-feature Gaussian moments.
 
@@ -47,7 +40,8 @@ def fit_gnb(data: Dataset, weights=None, var_smoothing: float = 1e-9) -> Gaussia
     smoothing floor added to every variance is var_smoothing times the largest
     per-feature variance of the pooled data, matching the usual NB stabilizer;
     `var_smoothing` is exposed because the NB base classifier uses 1.0 while
-    entropy scoring uses a tiny default.
+    entropy scoring uses a tiny default. Moments that overflow raise
+    ValueError.
     """
     if weights is None:
         weights = np.ones(len(data))
@@ -58,27 +52,33 @@ def fit_gnb(data: Dataset, weights=None, var_smoothing: float = 1e-9) -> Gaussia
         if np.any(weights < 0):
             raise ValueError("weights must be non-negative")
 
-    pooled_var = np.var(data.X, axis=0)
-    max_var = float(pooled_var.max()) if data.dimension else 0.0
-    epsilon = var_smoothing * max_var if max_var > 0 else max(var_smoothing, 1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        pooled_var = np.var(data.X, axis=0)
+        max_var = float(pooled_var.max()) if data.dimension else 0.0
+        epsilon = var_smoothing * max_var if max_var > 0 else max(var_smoothing, 1e-12)
 
-    priors = np.empty(2)
-    means = np.empty((2, data.dimension))
-    variances = np.empty((2, data.dimension))
-    total = 0.0
-    for row, cls in enumerate(_CLASSES):
-        mask = data.y == cls
-        w = weights[mask]
-        w_sum = float(w.sum())
-        if w_sum <= 0:
-            raise ValueError("each class needs positive total weight")
-        Xc = data.X[mask]
-        mu = (w[:, None] * Xc).sum(axis=0) / w_sum
-        var = (w[:, None] * (Xc - mu) ** 2).sum(axis=0) / w_sum
-        priors[row] = w_sum
-        means[row] = mu
-        variances[row] = var + epsilon
-        total += w_sum
+        priors = np.empty(2)
+        means = np.empty((2, data.dimension))
+        variances = np.empty((2, data.dimension))
+        total = 0.0
+        for row, cls in enumerate(_CLASSES):
+            mask = data.y == cls
+            w = weights[mask]
+            w_sum = float(w.sum())
+            if w_sum <= 0:
+                raise ValueError("each class needs positive total weight")
+            Xc = data.X[mask]
+            mu = (w[:, None] * Xc).sum(axis=0) / w_sum
+            var = (w[:, None] * (Xc - mu) ** 2).sum(axis=0) / w_sum
+            priors[row] = w_sum
+            means[row] = mu
+            variances[row] = var
+            total += w_sum
+    if not (np.isfinite(max_var) and np.all(np.isfinite(means))
+            and np.all(np.isfinite(variances))):
+        raise ValueError("the naive Bayes moments of the features overflowed; "
+                         "rescale the features")
+    variances += epsilon
     priors /= total
     return GaussianNBModel(priors=priors, means=means, variances=variances, smoothing=epsilon)
 
@@ -124,12 +124,3 @@ def entropy_batch(post: np.ndarray) -> np.ndarray:
     safe = np.where(post > 0, post, 1.0)
     return -(post * np.log2(safe)).sum(axis=1)
 
-
-def score_entropy(model: GaussianNBModel, data: Dataset):
-    """One EntropyScore per sample, index-aligned with the dataset."""
-    post = posterior_batch(model, data.X)
-    ent = entropy_batch(post)
-    return [
-        EntropyScore(sample_index=i, posterior=(float(p[0]), float(p[1])), entropy=float(h))
-        for i, (p, h) in enumerate(zip(post, ent))
-    ]

@@ -190,14 +190,20 @@ def _summary(values, key: str) -> dict:
             "n": len(values)}
 
 
-def run_experiment(data: Dataset, cfg: ExperimentConfig) -> dict:
-    """Full replicated run; returns the report as a JSON-ready dict."""
+def run_experiment(data: Dataset, cfg: ExperimentConfig, capture: dict | None = None) -> dict:
+    """Full replicated run; returns the report as a JSON-ready dict. When
+    `capture` is a dict it receives replication 0's resampled training set,
+    as run_replication writes it."""
+    if data.n_positive > data.n_negative:
+        raise ValueError(f"the positive class ({data.n_positive} rows) outnumbers the negative "
+                         f"class ({data.n_negative} rows); the positive label (--positive-label "
+                         f"on the command line) must name the minority class")
     if cfg.cv_folds and cfg.cv_folds > min(data.n_positive, data.n_negative):
         raise ValueError(f"cv_folds={cfg.cv_folds} exceeds the smaller class count "
                          f"{min(data.n_positive, data.n_negative)}: some fold would test "
                          f"on one class")
     t0 = time.perf_counter()
-    replications = [run_replication(data, cfg, i)
+    replications = [run_replication(data, cfg, i, capture=None if i else capture)
                     for i in range(cfg.cv_folds or cfg.replications)]
     elapsed = time.perf_counter() - t0
 

@@ -77,29 +77,6 @@ class RouletteWheel:
             raise ValueError("cumulative probabilities must be sorted and end at 1")
 
 
-@dataclass
-class SyntheticSample:
-    x: np.ndarray
-    seed_index: int
-    neighbor_index: int
-    alpha: float
-    seed_x: np.ndarray
-    dist_min: float = math.nan   # Euclidean distance to own seed
-    dist_maj: float = math.nan   # min Euclidean distance to the majority class
-    entropy: float = math.nan    # filled by the noise filter
-
-    def to_json(self) -> dict:
-        return {
-            "x": [float(v) for v in self.x],
-            "seed_index": int(self.seed_index),
-            "neighbor_index": int(self.neighbor_index),
-            "alpha": float(self.alpha),
-            "dist_min": float(self.dist_min),
-            "dist_maj": float(self.dist_maj),
-            "entropy": float(self.entropy),
-        }
-
-
 def _entropy_keep(model, majority: Dataset, k: int) -> np.ndarray:
     """Sorted positions of the majority rows left after removing the k
     lowest-entropy rows; ties remove the lower position first."""
@@ -385,7 +362,7 @@ def _position(keys, top):
     return position
 
 
-def smote_points(X, n: int, k_neighbors: int, rng: RandomSource, seeds=None):
+def smote_interpolate(X, n: int, k_neighbors: int, rng: RandomSource, seeds=None):
     """n SMOTE points from the rows of X: row i is X[s] + alpha * (X[nb] - X[s]),
     where nb is a uniformly drawn one of the min(k_neighbors, len(X) - 1)
     nearest other rows of X to X[s]. Per point the draws are, in order, the
@@ -396,6 +373,8 @@ def smote_points(X, n: int, k_neighbors: int, rng: RandomSource, seeds=None):
 
     Returns (points, seeds, neighbor positions, alphas).
     """
+    if len(X) < 2:
+        raise ValueError("need at least 2 minority samples to interpolate")
     n_slots = min(k_neighbors, len(X) - 1)
     if seeds is None or callable(seeds):
         draws = rng.rounds([len(X) if seeds is None else None, n_slots, None], n)
@@ -411,64 +390,29 @@ def smote_points(X, n: int, k_neighbors: int, rng: RandomSource, seeds=None):
     return S + alphas[:, None] * (X[nb] - S), seeds, nb, alphas
 
 
-def smote_interpolate(seed, minority: Dataset, seed_index: int, k_neighbors: int,
-                      rng: RandomSource) -> SyntheticSample:
-    """Linear interpolation between a minority seed and one of its minority
-    nearest neighbors: x = seed + alpha * (neighbor - seed), alpha ~ U[0,1).
-    `seed` must be row `seed_index` of the minority set. The neighbor slot
-    and alpha are drawn by smote_points."""
-    if len(minority) < 2:
-        raise ValueError("need at least 2 minority samples to interpolate")
-    seed_x = minority.X[seed_index]
-    if not np.array_equal(np.asarray(seed, dtype=float), seed_x):
-        raise ValueError(f"seed is not minority row {seed_index}")
-    x, _, nb, alpha = smote_points(minority.X, 1, k_neighbors, rng, [seed_index])
-    return SyntheticSample(x=x[0], seed_index=int(seed_index), neighbor_index=int(nb[0]),
-                           alpha=float(alpha[0]), seed_x=seed_x)
-
-
-def _accept(C, S, M):
-    """(dist_min, dist_maj, accepted) for candidate rows C with seed rows S
-    against majority rows M: the regularization test dist_min <= dist_maj."""
-    dist_maj = _nearest(M, C, 1)[1][:, 0]
+def regularization_accept(candidates, majority, seeds):
+    """(dist_min, dist_maj, accepted) for the candidate rows against the
+    majority rows, each candidate with its seed row: the Euclidean distance
+    to the seed, to the nearest majority row, and the regularization test
+    dist_min <= dist_maj (a synthetic sits at least as close to its own seed
+    as to the majority class)."""
+    if len(majority) == 0:
+        raise ValueError("majority must be non-empty")
+    dist_maj = _nearest(majority, candidates, 1)[1][:, 0]
     # per row, the arithmetic of the 1-D np.linalg.norm, sqrt(v.dot(v)): it
     # can differ in the last bit from the 2-D form's
-    dist_min = np.sqrt([v.dot(v) for v in C - S])
+    dist_min = np.sqrt([v.dot(v) for v in np.atleast_2d(candidates) - seeds])
     return dist_min, dist_maj, dist_min <= dist_maj
 
 
-def regularization_accept(candidate: SyntheticSample, majority: Dataset) -> bool:
-    """Keep a synthetic only if it sits at least as close to its own seed as
-    to the nearest majority sample. Both distances are stored on the
-    candidate for auditing.
-    """
-    if len(majority) == 0:
-        raise ValueError("majority must be non-empty")
-    dist_min, dist_maj, ok = _accept(np.atleast_2d(candidate.x), [candidate.seed_x], majority.X)
-    candidate.dist_min, candidate.dist_maj = float(dist_min[0]), float(dist_maj[0])
-    return bool(ok[0])
-
-
-def _top_entropy(model, X, k: int):
+def noise_filter(candidates, model, k: int):
     """(order, entropies): the positions of the min(k, n) highest-entropy
-    rows of X under `model` in descending entropy order, ties keeping the
-    lower position first, and every row's entropy."""
-    ent = entropy_batch(posterior_batch(model, X))
-    return np.argsort(-ent, kind="stable")[: min(k, len(X))], ent
-
-
-def noise_filter(candidates, pool: Dataset, k: int):
-    """Keep the min(k, n) highest-entropy candidates under a model fit on pool.
-
-    Returned samples carry their entropy and come back in descending entropy
-    order; ties keep the lower candidate index first.
-    """
+    candidate rows under `model` in descending entropy order, ties keeping
+    the lower position first, and every row's entropy."""
     if len(candidates) == 0:
         raise ValueError("no candidates to filter")
-    order, ent = _top_entropy(fit_gnb(pool), np.vstack([c.x for c in candidates]), k)
-    for c, h in zip(candidates, ent):
-        c.entropy = float(h)
-    return [candidates[i] for i in order]
+    ent = entropy_batch(posterior_batch(model, candidates))
+    return np.argsort(-ent, kind="stable")[: min(k, len(ent))], ent
 
 
 def _oversample(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
@@ -476,7 +420,7 @@ def _oversample(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
     """The rows of the synthetics minority_class_pruning adds, noise-filtered
     under `model`, in descending entropy order. `stats` receives the counts
     and, when some are retained, one provenance record per row
-    ("synthetics"), as SyntheticSample.to_json writes it."""
+    ("synthetics")."""
     wheel = build_roulette(minority, majority, cfg.epsilon)
     target = math.ceil(cfg.candidate_multiplier * cfg.k)
     cap = cfg.effective_spin_cap
@@ -488,15 +432,15 @@ def _oversample(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
         # would make every spin of this chunk too.
         n = min(target - accepted, cap - spins)
         spins += n
-        C, seeds, nb, alphas = smote_points(X, n, cfg.k_neighbors, rng,
-                                             lambda r: _select(wheel, r))
-        dist_min, dist_maj, ok = _accept(C, X[seeds], majority.X)
+        C, seeds, nb, alphas = smote_interpolate(X, n, cfg.k_neighbors, rng,
+                                                  lambda r: _select(wheel, r))
+        dist_min, dist_maj, ok = regularization_accept(C, majority.X, X[seeds])
         chunks.append([a[ok] for a in (C, seeds, nb, alphas, dist_min, dist_maj)])
         accepted += int(ok.sum())
     rows, records = np.empty((0, X.shape[1])), []
     if accepted:
         C, seeds, nb, alphas, dist_min, dist_maj = (np.concatenate(a) for a in zip(*chunks))
-        order, ent = _top_entropy(model, C, cfg.k)
+        order, ent = noise_filter(C, model, cfg.k)
         rows = C[order]
         records = [{"x": C[i].tolist(), "seed_index": int(seeds[i]),
                     "neighbor_index": int(nb[i]), "alpha": float(alphas[i]),

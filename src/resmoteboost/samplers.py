@@ -10,28 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import ClassPartition, Dataset, POSITIVE, RandomSource
-from .pruning import nearest_rows, smote_points
-
-
-def _synthesize(minority: Dataset, seed_indices, k_neighbors: int, rng: RandomSource) -> Dataset:
-    """Interpolated synthetics for the given seeds, drawing each seed's
-    neighbor slot and alpha as smote_points does; returns minority +
-    synthetics."""
-    rows = smote_points(minority.X, len(seed_indices), k_neighbors, rng, seed_indices)[0]
-    syn = Dataset(rows, np.full(len(rows), POSITIVE),
-                  feature_names=minority.feature_names, source_tag=minority.source_tag)
-    return minority.concat(syn)
+from .data import ClassPartition, Dataset, RandomSource
+from .pruning import _with_synthetics, nearest_rows, smote_interpolate
 
 
 def smote(partition: ClassPartition, n_new: int, k_neighbors: int, rng: RandomSource) -> Dataset:
     """Classic SMOTE: each synthetic interpolates a random minority seed toward
     one of its k nearest minority neighbors. Returns minority + synthetics."""
     minority = partition.minority
-    if len(minority) < 2:
-        raise ValueError("need at least 2 minority samples")
     seeds = rng.integers(0, len(minority), size=n_new)
-    return _synthesize(minority, seeds, k_neighbors, rng)
+    rows = smote_interpolate(minority.X, len(seeds), k_neighbors, rng, seeds)[0]
+    return _with_synthetics(minority, rows)
 
 
 def _majority_neighbor_counts(partition: ClassPartition, k_neighbors: int) -> np.ndarray:
@@ -51,15 +40,14 @@ def borderline_smote(partition: ClassPartition, n_new: int, k_neighbors: int,
     full-set neighbors in the majority class. Falls back to the whole
     minority when no point is in danger."""
     minority = partition.minority
-    if len(minority) < 2:
-        raise ValueError("need at least 2 minority samples")
     counts = _majority_neighbor_counts(partition, k_neighbors)
     k_eff = min(k_neighbors, len(partition.majority) + len(minority) - 1)
     danger = np.flatnonzero((counts * 2 >= k_eff) & (counts < k_eff))
     if len(danger) == 0:
         danger = np.arange(len(minority))
     seeds = danger[rng.integers(0, len(danger), size=n_new)]
-    return _synthesize(minority, seeds, k_neighbors, rng)
+    rows = smote_interpolate(minority.X, len(seeds), k_neighbors, rng, seeds)[0]
+    return _with_synthetics(minority, rows)
 
 
 def adasyn(partition: ClassPartition, n_new: int, k_neighbors: int,
@@ -67,8 +55,6 @@ def adasyn(partition: ClassPartition, n_new: int, k_neighbors: int,
     """ADASYN: allocate synthetics per seed proportionally to the fraction of
     majority neighbors around it, so harder minority points get more."""
     minority = partition.minority
-    if len(minority) < 2:
-        raise ValueError("need at least 2 minority samples")
     counts = _majority_neighbor_counts(partition, k_neighbors)
     k_eff = min(k_neighbors, len(partition.majority) + len(minority) - 1)
     r = counts / k_eff
@@ -79,7 +65,8 @@ def adasyn(partition: ClassPartition, n_new: int, k_neighbors: int,
         base, rem = divmod(n_new, len(minority))
         alloc = base + (np.arange(len(minority)) < rem)
     seeds = np.repeat(np.arange(len(minority)), alloc)
-    return _synthesize(minority, seeds, k_neighbors, rng)
+    rows = smote_interpolate(minority.X, len(seeds), k_neighbors, rng, seeds)[0]
+    return _with_synthetics(minority, rows)
 
 
 def tomek_links(partition: ClassPartition) -> Dataset:

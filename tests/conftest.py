@@ -1,11 +1,15 @@
-"""Hypothesis profiles. `HYPOTHESIS_PROFILE=ci` runs every property test on a
-fixed, derandomized example set without deadlines, so a shared CI runner can
-neither draw a new failing example nor time a slow one out."""
+"""Hypothesis profiles and shared fixtures. `HYPOTHESIS_PROFILE=ci` runs every
+property test on a fixed, derandomized example set without deadlines, so a
+shared CI runner can neither draw a new failing example nor time a slow one
+out."""
 
 import os
 import warnings
 
+import pytest
 from hypothesis import settings
+
+from resmoteboost import cli, experiment
 
 # Hypothesis imports libcst to report a failing example, and libcst's import
 # raises mypy_extensions' TypedDict DeprecationWarning; under `-W error` that
@@ -21,3 +25,18 @@ with warnings.catch_warnings():
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture
+def started_replications(monkeypatch):
+    """The index of every run_replication call, in call order, wherever the
+    experiment or the CLI makes it."""
+    started, run_replication = [], experiment.run_replication
+
+    def counted(data, cfg, index, capture=None):
+        started.append(index)
+        return run_replication(data, cfg, index, capture=capture)
+
+    monkeypatch.setattr(experiment, "run_replication", counted)
+    monkeypatch.setattr(cli, "run_replication", counted, raising=False)
+    return started

@@ -108,6 +108,26 @@ class TestRun:
         assert len(synthetic) > 0
         assert [r["x"] for r in records] == synthetic.tolist()
 
+    @pytest.mark.parametrize("method", ["re_smoteboost", "smote"])
+    def test_dump_resampled_runs_each_replication_once(self, blob_csv, tmp_path,
+                                                        started_replications, method):
+        dump = tmp_path / "resampled.csv"
+        assert run_cli(["run", "--data", str(blob_csv), "--method", method,
+                        "--replications", "3", "--t-max", "3", "--k", "4",
+                        "--out", str(tmp_path / "r.json"), "--dump-resampled", str(dump)]) == 0
+        assert started_replications == [0, 1, 2]
+        assert dump.exists() and (tmp_path / "resampled.csv.provenance.json").exists()
+
+    def test_positive_majority_errors_in_one_line(self, blob_csv, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        code = run_cli(["run", "--data", str(blob_csv), "--positive-label", "neg",
+                        "--replications", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: the positive class (60 rows) outnumbers")
+        assert "--positive-label" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def run_cv(self, blob_csv, tmp_path, *extra):
         out = tmp_path / "cv.json"
         code = run_cli(["run", "--data", str(blob_csv), "--method", "smote",

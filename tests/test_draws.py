@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from resmoteboost import (ExperimentConfig, RandomSource, adasyn, borderline_smote,
                           make_gaussian_blobs, partition_by_class, run_experiment, smote)
-from resmoteboost.samplers import _majority_neighbor_counts, _synthesize
+from resmoteboost.pruning import _with_synthetics, smote_interpolate
+from resmoteboost.samplers import _majority_neighbor_counts
 
 from test_nearest import old_smote_interpolate
 
@@ -100,7 +101,7 @@ def old_smote(part, n_new, k_neighbors, rng, pick=None):
     minority = part.minority
     pick = np.arange(len(minority)) if pick is None else pick
     seeds = [int(pick[int(rng.integers(0, len(pick)))]) for _ in range(n_new)]
-    rows = [old_smote_interpolate(minority.X[s], minority, s, k_neighbors, rng).x for s in seeds]
+    rows = [old_smote_interpolate(minority.X[s], minority, s, k_neighbors, rng)[0] for s in seeds]
     return np.vstack([minority.X] + rows)
 
 
@@ -154,8 +155,9 @@ class TestSamplers:
         part = partition_by_class(make_gaussian_blobs(n_maj, n_min, 2, sep, seed))
         a, b = RandomSource(seed), RandomSource(seed)
         out = adasyn(part, n_new, k_neighbors, a)
-        want = _synthesize(part.minority, old_adasyn_seeds(part, n_new, k_neighbors),
-                           k_neighbors, b)
+        seeds = old_adasyn_seeds(part, n_new, k_neighbors)
+        want = _with_synthetics(part.minority, smote_interpolate(part.minority.X, len(seeds),
+                                                                 k_neighbors, b, seeds)[0])
         assert out.X.tobytes() == want.X.tobytes()
         assert state(a) == state(b)
 

@@ -11,10 +11,9 @@ from resmoteboost import (
     make_gaussian_blobs,
     posterior,
     posterior_batch,
-    score_entropy,
     shannon_entropy,
 )
-from resmoteboost.entropy import GaussianNBModel
+from resmoteboost.entropy import GaussianNBModel, entropy_batch
 
 
 def symmetric_model():
@@ -64,6 +63,12 @@ class TestFitGnb:
         y = np.full(3, NEGATIVE)
         with pytest.raises(ValueError):
             fit_gnb(Dataset(X, y))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_moments_name_the_cause(self):
+        data = make_gaussian_blobs(60, 15, 2, 1.0, 0)
+        with pytest.raises(ValueError, match="overflowed; rescale the features"):
+            fit_gnb(Dataset(data.X * 1e307, data.y))
 
 
 class TestModelChecks:
@@ -156,28 +161,26 @@ class TestShannonEntropy:
 class TestScoreEntropy:
     def test_midpoint_has_highest_entropy(self):
         X = np.array([[-1.0], [0.0], [1.0], [2.0], [3.0]])
-        y = np.array([NEGATIVE, NEGATIVE, POSITIVE, POSITIVE, POSITIVE])
-        scores = score_entropy(symmetric_model(), Dataset(X, y))
-        best = max(scores, key=lambda s: s.entropy)
-        assert best.sample_index == 2  # x=1 is the symmetry midpoint
+        ent = entropy_batch(posterior_batch(symmetric_model(), X))
+        assert np.argmax(ent) == 2  # x=1 is the symmetry midpoint
 
     def test_permutation_equivariance(self):
         data = make_gaussian_blobs(20, 10, 2, 1.0, 8)
         model = fit_gnb(data)
-        scores = score_entropy(model, data)
+        ent = entropy_batch(posterior_batch(model, data.X))
         perm = np.random.default_rng(1).permutation(len(data))
-        permuted = score_entropy(model, data.subset(perm))
-        for new_i, old_i in enumerate(perm):
-            assert permuted[new_i].entropy == pytest.approx(scores[old_i].entropy)
+        permuted = entropy_batch(posterior_batch(model, data.subset(perm).X))
+        np.testing.assert_allclose(permuted, ent[perm], rtol=1e-6, atol=1e-12)
 
     def test_matches_composition(self):
         data = make_gaussian_blobs(15, 5, 2, 2.0, 3)
         model = fit_gnb(data)
-        scores = score_entropy(model, data)
-        for i, s in enumerate(scores):
+        post = posterior_batch(model, data.X)
+        ent = entropy_batch(post)
+        for i in range(len(data)):
             p = posterior(model, data.X[i])
-            assert s.posterior[0] == pytest.approx(p[0], abs=1e-12)
-            assert s.entropy == pytest.approx(shannon_entropy(p), abs=1e-12)
+            assert post[i, 0] == pytest.approx(p[0], abs=1e-12)
+            assert ent[i] == pytest.approx(shannon_entropy(p), abs=1e-12)
 
     def test_posterior_sums_to_one(self):
         data = make_gaussian_blobs(40, 15, 4, 1.5, 6)

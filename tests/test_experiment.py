@@ -72,6 +72,17 @@ def test_cv_folds_above_smaller_class_rejected_before_any_fold():
     assert report["summaries"]["auc"]["n"] == 6
 
 
+def test_positive_majority_rejected_before_any_replication(started_replications):
+    # the data-level methods would resample with the class roles swapped
+    data = make_gaussian_blobs(300, 60, 2, 2.5, 0)
+    with pytest.raises(ValueError, match=r"positive class \(300 rows\) outnumbers the "
+                                         r"negative class \(60 rows\).*--positive-label"):
+        run_experiment(Dataset(data.X, -data.y), ExperimentConfig(method="smote"))
+    assert started_replications == []
+    run_experiment(make_gaussian_blobs(20, 20, 2, 2.5, 0), ExperimentConfig(replications=2))
+    assert started_replications == [0, 1]   # equal class sizes run
+
+
 def test_one_class_test_split_leaves_auc_undefined():
     data = make_gaussian_blobs(200, 6, 2, 1.5, 0)
     report = run_experiment(data, ExperimentConfig(stratified=False, replications=30, seed=0))

@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from resmoteboost import (ClassPartition, Dataset, KNNLearner, NEGATIVE, POSITIVE,
-                          PruningConfig, RandomSource, SyntheticSample, build_roulette,
-                          fit_gnb, make_gaussian_blobs, regularization_accept,
-                          smote_interpolate, spin, tomek_links)
+                          PruningConfig, RandomSource, build_roulette, fit_gnb,
+                          make_gaussian_blobs, regularization_accept, smote_interpolate, spin,
+                          tomek_links)
 from resmoteboost.entropy import entropy_batch, posterior_batch
 from resmoteboost.pruning import _nearest, _oversample, nearest_rows
 from resmoteboost.samplers import _majority_neighbor_counts
@@ -106,7 +106,8 @@ class TestNearestRows:
 
 
 def old_smote_interpolate(seed, minority, seed_index, k_neighbors, rng):
-    """The per-call full-scan interpolation the candidate loop used to make."""
+    """The per-call full-scan interpolation the candidate loop used to make:
+    (x, neighbor index, alpha)."""
     seed = np.asarray(seed, dtype=float)
     d = np.linalg.norm(minority.X - seed, axis=1)
     order = np.argsort(d, kind="stable")
@@ -114,23 +115,22 @@ def old_smote_interpolate(seed, minority, seed_index, k_neighbors, rng):
     neighbors = order[: min(k_neighbors, len(minority) - 1)]
     neighbor_index = int(neighbors[int(rng.integers(0, len(neighbors)))])
     alpha = float(rng.uniform())
-    x = seed + alpha * (minority.X[neighbor_index] - seed)
-    return SyntheticSample(x=x, seed_index=int(seed_index), neighbor_index=neighbor_index,
-                           alpha=alpha, seed_x=seed)
+    return seed + alpha * (minority.X[neighbor_index] - seed), neighbor_index, alpha
 
 
-def old_regularization_accept(candidate, majority):
-    """The full-scan acceptance test the candidate loop used to make."""
-    candidate.dist_maj = float(np.linalg.norm(majority.X - candidate.x, axis=1).min())
-    candidate.dist_min = float(np.linalg.norm(candidate.x - candidate.seed_x))
-    return candidate.dist_min <= candidate.dist_maj
+def old_regularization_accept(x, seed, M):
+    """The full-scan acceptance test the candidate loop used to make:
+    (dist_min, dist_maj, accepted)."""
+    dist_maj = float(np.linalg.norm(M - x, axis=1).min())
+    dist_min = float(np.linalg.norm(x - seed))
+    return dist_min, dist_maj, dist_min <= dist_maj
 
 
 def old_entropy_filter(model, candidates, k):
     """The per-candidate noise filter the candidate loop used to apply."""
-    ent = entropy_batch(posterior_batch(model, np.vstack([c.x for c in candidates])))
+    ent = entropy_batch(posterior_batch(model, np.vstack([c["x"] for c in candidates])))
     for c, h in zip(candidates, ent):
-        c.entropy = float(h)
+        c["entropy"] = float(h)
     return [candidates[i] for i in np.argsort(-ent, kind="stable")[:k]]
 
 
@@ -143,29 +143,36 @@ def oversample_oracle(majority, minority, cfg, model, rng, stats):
     while len(accepted) < target and spins < cfg.effective_spin_cap:
         seed_index = int(spin(wheel, 1, rng)[0])
         spins += 1
-        candidate = old_smote_interpolate(minority.X[seed_index], minority, seed_index,
-                                          cfg.k_neighbors, rng)
-        if old_regularization_accept(candidate, majority):
-            accepted.append(candidate)
+        seed = minority.X[seed_index]
+        x, neighbor_index, alpha = old_smote_interpolate(seed, minority, seed_index,
+                                                         cfg.k_neighbors, rng)
+        dist_min, dist_maj, ok = old_regularization_accept(x, seed, majority.X)
+        if ok:
+            accepted.append({"x": x, "seed_index": seed_index, "neighbor_index": neighbor_index,
+                             "alpha": alpha, "dist_min": dist_min, "dist_maj": dist_maj})
     retained = old_entropy_filter(model, accepted, cfg.k) if accepted else []
     stats.update(spins=spins, accepted=len(accepted), retained=len(retained))
     if retained:
-        stats["synthetics"] = [c.to_json() for c in retained]
-    return retained
+        stats["synthetics"] = [dict(c, x=[float(v) for v in c["x"]]) for c in retained]
+    return [c["x"] for c in retained]
 
 
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(("unit", "huge", "tiny", "grid", "duplicates")), n=st.integers(2, 25),
-       d=st.integers(1, 4), k_neighbors=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
-def test_smote_interpolate_matches_full_scan(kind, n, d, k_neighbors, seed):
+       d=st.integers(1, 4), k_neighbors=st.integers(1, 7), m=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_smote_interpolate_matches_full_scan(kind, n, d, k_neighbors, m, seed):
     rng = np.random.default_rng(seed)
     minority = Dataset(make_rows(kind, n, d, rng), np.full(n, POSITIVE))
-    i = int(rng.integers(0, n))
+    seeds = rng.integers(0, n, size=m)
     rng_new, rng_old = RandomSource(seed), RandomSource(seed)
-    new = smote_interpolate(minority.X[i], minority, i, k_neighbors, rng_new)
-    old = old_smote_interpolate(minority.X[i], minority, i, k_neighbors, rng_old)
-    assert new.x.tobytes() == old.x.tobytes() and new.seed_x.tobytes() == old.seed_x.tobytes()
-    assert new.to_json() == old.to_json()
+    X, got_seeds, nb, alphas = smote_interpolate(minority.X, m, k_neighbors, rng_new, seeds)
+    np.testing.assert_array_equal(got_seeds, seeds)
+    for i, s in enumerate(seeds):
+        x, neighbor_index, alpha = old_smote_interpolate(minority.X[s], minority, s,
+                                                         k_neighbors, rng_old)
+        assert X[i].tobytes() == x.tobytes()
+        assert (int(nb[i]), float(alphas[i])) == (neighbor_index, alpha)
     assert rng_new._gen.bit_generator.state == rng_old._gen.bit_generator.state
 
 
@@ -182,19 +189,17 @@ class TestRegularizationAccept:
         x, s = rows[rng.integers(0, len(rows), 2)]
         if mirror:   # the seed as far from x as x's nearest majority row: a tie on grids
             s = 2 * x - M[argsort_oracle(M, [x], 1)[0, 0]]
-        majority = Dataset(M, np.full(n, NEGATIVE))
-        new, old = (SyntheticSample(x=x.copy(), seed_index=0, neighbor_index=1, alpha=0.5,
-                                    seed_x=s.copy()) for _ in range(2))
-        assert regularization_accept(new, majority) == old_regularization_accept(old, majority)
-        assert np.float64(new.dist_min).tobytes() == np.float64(old.dist_min).tobytes()
-        assert np.float64(new.dist_maj).tobytes() == np.float64(old.dist_maj).tobytes()
+        dist_min, dist_maj, ok = regularization_accept(x[None], M, s[None])
+        old_min, old_maj, old_ok = old_regularization_accept(x, s, M)
+        assert bool(ok[0]) == old_ok
+        assert dist_min[0].tobytes() == np.float64(old_min).tobytes()
+        assert dist_maj[0].tobytes() == np.float64(old_maj).tobytes()
 
     def test_tie_accepts(self):
-        majority = Dataset(np.array([[2.0, 0.0], [0.0, 5.0]]), np.full(2, NEGATIVE))
-        c = SyntheticSample(x=np.zeros(2), seed_index=0, neighbor_index=1, alpha=0.5,
-                            seed_x=np.array([0.0, -2.0]))
-        assert regularization_accept(c, majority)
-        assert c.dist_min == c.dist_maj == 2.0
+        M = np.array([[2.0, 0.0], [0.0, 5.0]])
+        dist_min, dist_maj, ok = regularization_accept(np.zeros((1, 2)), M, [[0.0, -2.0]])
+        assert ok[0]
+        assert dist_min[0] == dist_maj[0] == 2.0
 
 
 def old_majority_neighbor_counts(partition, k_neighbors):
@@ -250,7 +255,7 @@ def assert_matches_oracle(majority, minority, cfg, seed):
     rows = _oversample(majority, minority, cfg, model, rng_new, stats_new)
     old = oversample_oracle(majority, minority, cfg, model, rng_old, stats_old)
     assert stats_new == stats_old
-    expected = np.array([c.x for c in old]).reshape(len(old), minority.dimension)
+    expected = np.array(old).reshape(len(old), minority.dimension)
     assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
     assert rng_new._gen.bit_generator.state == rng_old._gen.bit_generator.state
     return stats_new

@@ -21,7 +21,7 @@ from resmoteboost import (
     spin,
 )
 from resmoteboost.entropy import entropy_batch, posterior_batch
-from resmoteboost.pruning import SyntheticSample, pruning_step
+from resmoteboost.pruning import pruning_step
 
 
 def blob_partition(n_maj=40, n_min=15, sep=2.0, seed=0):
@@ -133,9 +133,9 @@ class TestInterpolate:
             def rounds(self, highs, n):   # neighbor slot 0, alpha 0.5
                 return np.tile([0.0, 0.5], (n, 1))
 
-        s = smote_interpolate(minority.X[0], minority, 0, 5, HalfRng())
-        np.testing.assert_allclose(s.x, [1.0, 2.0])
-        assert s.neighbor_index == 1
+        x, _, nb, _ = smote_interpolate(minority.X, 1, 5, HalfRng(), [0])
+        np.testing.assert_allclose(x[0], [1.0, 2.0])
+        assert nb[0] == 1
 
     def test_alpha_zero_returns_seed(self):
         minority = Dataset(np.array([[0.0, 0.0], [2.0, 4.0]]), np.full(2, POSITIVE))
@@ -144,92 +144,65 @@ class TestInterpolate:
             def rounds(self, highs, n):   # neighbor slot 0, alpha 0
                 return np.zeros((n, 2))
 
-        s = smote_interpolate(minority.X[0], minority, 0, 5, ZeroRng())
-        np.testing.assert_array_equal(s.x, minority.X[0])
+        x = smote_interpolate(minority.X, 1, 5, ZeroRng(), [0])[0]
+        np.testing.assert_array_equal(x[0], minority.X[0])
 
     def test_collinearity_over_many_draws(self):
         minority = Dataset(np.random.default_rng(0).normal(size=(8, 3)), np.full(8, POSITIVE))
-        rng = RandomSource(5)
-        for _ in range(1000):
-            i = int(rng.integers(0, len(minority)))
-            s = smote_interpolate(minority.X[i], minority, i, 3, rng)
-            seed = minority.X[s.seed_index]
-            nb = minority.X[s.neighbor_index]
-            residual = (np.linalg.norm(s.x - seed) + np.linalg.norm(s.x - nb)
-                        - np.linalg.norm(seed - nb))
-            assert abs(residual) <= 1e-9
+        x, seeds, nb, _ = smote_interpolate(minority.X, 1000, 3, RandomSource(5))
+        seed, neighbor = minority.X[seeds], minority.X[nb]
+        residual = (np.linalg.norm(x - seed, axis=1) + np.linalg.norm(x - neighbor, axis=1)
+                    - np.linalg.norm(seed - neighbor, axis=1))
+        assert np.all(np.abs(residual) <= 1e-9)
 
     def test_too_small_minority_errors(self):
-        minority = Dataset(np.array([[0.0]]), np.array([POSITIVE]))
         with pytest.raises(ValueError):
-            smote_interpolate(minority.X[0], minority, 0, 5, RandomSource(0))
-
-    def test_seed_must_be_its_minority_row(self):
-        minority = Dataset(np.array([[0.0, 0.0], [2.0, 4.0], [1.0, 1.0]]), np.full(3, POSITIVE))
-        for seed in ([5.0, 5.0], minority.X[1], [0.0, 0.0, 0.0]):
-            with pytest.raises(ValueError, match="seed is not minority row 0"):
-                smote_interpolate(seed, minority, 0, 2, RandomSource(0))
-        s = smote_interpolate([0.0, 0.0], minority, 0, 2, RandomSource(0))
-        np.testing.assert_array_equal(s.seed_x, minority.X[0])
+            smote_interpolate(np.array([[0.0]]), 1, 5, RandomSource(0), [0])
 
 
 class TestRegularizationAccept:
-    def make(self, x, seed):
-        return SyntheticSample(x=np.asarray(x, float), seed_index=0, neighbor_index=1,
-                               alpha=0.5, seed_x=np.asarray(seed, float))
+    def accept(self, x, seed, M):
+        dist_min, dist_maj, ok = regularization_accept(np.array([x], float), np.array(M, float),
+                                                       np.array([seed], float))
+        return dist_min[0], dist_maj[0], ok[0]
 
     def test_accept(self):
-        majority = Dataset(np.array([[3.0, 0.0]]), np.array([NEGATIVE]))
-        c = self.make([0.0, 0.0], [1.0, 0.0])
-        assert regularization_accept(c, majority)
-        assert c.dist_min == pytest.approx(1.0)
-        assert c.dist_maj == pytest.approx(3.0)
+        dist_min, dist_maj, ok = self.accept([0.0, 0.0], [1.0, 0.0], [[3.0, 0.0]])
+        assert ok
+        assert dist_min == pytest.approx(1.0)
+        assert dist_maj == pytest.approx(3.0)
 
     def test_reject(self):
-        majority = Dataset(np.array([[1.0, 0.0]]), np.array([NEGATIVE]))
-        c = self.make([0.0, 0.0], [4.0, 0.0])
-        assert not regularization_accept(c, majority)
+        assert not self.accept([0.0, 0.0], [4.0, 0.0], [[1.0, 0.0]])[2]
 
     def test_alpha_zero_always_accepts(self):
-        majority = Dataset(np.array([[0.5, 0.0]]), np.array([NEGATIVE]))
-        c = self.make([1.0, 0.0], [1.0, 0.0])
-        assert regularization_accept(c, majority)
+        assert self.accept([1.0, 0.0], [1.0, 0.0], [[0.5, 0.0]])[2]
 
 
 class TestNoiseFilter:
     def test_top_k_retained(self):
         part = blob_partition(seed=2)
-        pool = part.majority.concat(part.minority)
-        rng = RandomSource(3)
-        candidates = []
-        for _ in range(6):
-            i = int(rng.integers(0, len(part.minority)))
-            candidates.append(smote_interpolate(part.minority.X[i], part.minority, i, 5, rng))
-        retained = noise_filter(list(candidates), pool, 3)
-        assert len(retained) == 3
+        model = fit_gnb(part.majority.concat(part.minority))
+        candidates = smote_interpolate(part.minority.X, 6, 5, RandomSource(3))[0]
+        order, ent = noise_filter(candidates, model, 3)
+        assert len(order) == 3
         # independent oracle: sort entropies computed from scratch
-        model = fit_gnb(pool)
-        ent = entropy_batch(posterior_batch(model, np.vstack([c.x for c in candidates])))
-        expected = sorted(ent, reverse=True)[:3]
-        np.testing.assert_allclose(sorted((c.entropy for c in retained), reverse=True),
-                                   expected, atol=1e-12)
+        expected = sorted(entropy_batch(posterior_batch(model, candidates)), reverse=True)[:3]
+        np.testing.assert_allclose(sorted(ent[order], reverse=True), expected, atol=1e-12)
 
     def test_k_exceeds_candidates(self):
         part = blob_partition()
-        pool = part.majority.concat(part.minority)
-        rng = RandomSource(1)
-        candidates = [smote_interpolate(part.minority.X[0], part.minority, 0, 5, rng)
-                      for _ in range(3)]
-        retained = noise_filter(candidates, pool, 10)
-        assert len(retained) == 3
-        ents = [c.entropy for c in retained]
-        assert ents == sorted(ents, reverse=True)
+        model = fit_gnb(part.majority.concat(part.minority))
+        candidates = smote_interpolate(part.minority.X, 3, 5, RandomSource(1), [0, 0, 0])[0]
+        order, ent = noise_filter(candidates, model, 10)
+        assert len(order) == 3
+        assert list(ent[order]) == sorted(ent, reverse=True)
 
     def test_empty_errors(self):
         part = blob_partition()
-        pool = part.majority.concat(part.minority)
+        model = fit_gnb(part.majority.concat(part.minority))
         with pytest.raises(ValueError):
-            noise_filter([], pool, 2)
+            noise_filter(np.empty((0, 2)), model, 2)
 
 
 class TestMinorityPruning:

@@ -17,7 +17,7 @@ from scipy.spatial.distance import cdist
 from resmoteboost import (Dataset, ExperimentConfig, NEGATIVE, POSITIVE, PruningConfig,
                           RandomSource, RouletteWheel, build_roulette, make_gaussian_blobs,
                           run_experiment, spin)
-from resmoteboost.pruning import _oversample, _select, smote_points
+from resmoteboost.pruning import _oversample, _select, smote_interpolate
 
 from test_nearest import KINDS, assert_matches_oracle, make_rows, pools
 
@@ -110,8 +110,8 @@ class TestWheel:
             wheel = build_roulette(*classes(X_min, rng.normal(size=(5, 2))))
             assert np.all(np.diff(wheel.cumulative) >= 0) and wheel.cumulative.max() == 1.0
 
-    # the naive Bayes fit overflows on such features first, with warnings only
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # re_smoteboost's naive Bayes fit meets such features first and fails the same way
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_sums_name_the_cause(self):
         data = make_gaussian_blobs(60, 15, 2, 1.0, 0)
         huge = Dataset(data.X * 1e307, data.y)
@@ -123,12 +123,12 @@ class TestWheel:
 
 class TestSpins:
     def test_draw_takes_one_double(self):
-        # smote_points draws each seed as one spin of one double, then the
+        # smote_interpolate draws each seed as one spin of one double, then the
         # neighbour slot and alpha, as the one-at-a-time loop does
         majority, minority = pools("overlap", 40, 10, 2, 3)
         wheel = build_roulette(minority, majority)
         a, b = RandomSource(9), RandomSource(9)
-        seeds = smote_points(minority.X, 50, 3, a, lambda r: _select(wheel, r))[1]
+        seeds = smote_interpolate(minority.X, 50, 3, a, lambda r: _select(wheel, r))[1]
         expected = []
         for _ in range(50):
             expected.append(int(spin(wheel, 1, b)[0]))
