@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .data import (Dataset, imbalance_ratio, load_csv, make_gaussian_blobs,
@@ -96,11 +97,13 @@ def cmd_run(args) -> int:
     data = load_csv(args.data, args.label_column, args.positive_label)
     k = args.k
     if args.k_fraction is not None:
-        if not args.k_fraction > 0:
-            raise ValueError(f"--k-fraction must be > 0, got {args.k_fraction}")
         part = partition_by_class(data)
         gap = len(part.majority) - len(part.minority)
-        k = max(1, round(args.k_fraction * gap))
+        scaled = args.k_fraction * gap
+        if not (args.k_fraction > 0 and math.isfinite(args.k_fraction)
+                and math.isfinite(scaled)):   # round(inf) raises OverflowError
+            raise ValueError(f"--k-fraction must be > 0 and finite, got {args.k_fraction}")
+        k = max(1, round(scaled))
     cfg = ExperimentConfig(
         method=args.method,
         base_learner=args.base,

@@ -27,7 +27,8 @@ import numpy as np
 from .data import Dataset, POSITIVE, RandomSource, _integer
 from .entropy import entropy_batch, fit_gnb, posterior_batch
 
-_BLOCK = 1 << 14   # distance-matrix entries computed at a time
+_BLOCK = 1 << 14            # distance-matrix entries computed at a time
+_DISTANCE_BLOCK = 1 << 16   # the same, for the nearest distance alone
 
 
 @dataclass(frozen=True)
@@ -172,6 +173,26 @@ def nearest_rows(Q, P, k: int, exclude=None) -> np.ndarray:
     return _nearest(Q, P, k, exclude)[0]
 
 
+def _screen_bound(kth, sq_p, sq_q_max):
+    """(bound, full) for screened values s = |q|^2 - 2 p.q whose k-th
+    smallest in each row is kth: every row q of the exact top k has
+    s <= bound, except in the rows marked full, which need the full scan.
+
+    A screened value differs from the exact |q|^2 - 2 p.q, and the square of
+    the distance np.linalg.norm returns from the exact |p - q|^2, each by at
+    most about (2d + 7) * 2^-53 * (|p|^2 + |q|^2), plus a few multiples of d
+    subnormal units (2^-1074) where squares underflow. Within a row the two
+    differ by the constant |p|^2, so every row of the exact top k screens at
+    most twice that above the k-th screened value, which the slack below
+    exceeds for any d up to about 10^6. Where |p|^2, some |q|^2, the bound
+    or the bound plus |p|^2 (about the k-th squared distance) is not finite,
+    the row takes the full exact scan: squares overflow near 1e154. Call it
+    with overflow and invalid-value warnings off.
+    """
+    bound = kth + (1e-9 * (sq_p + sq_q_max) + 1e-300)
+    return bound, ~np.isfinite(bound + sq_p)
+
+
 def _nearest(Q, P, k: int, exclude=None):
     """(positions, distances): nearest_rows(Q, P, k, exclude) and, entry for
     entry, np.linalg.norm(Q[position] - P[i], axis=1).
@@ -205,18 +226,7 @@ def _nearest(Q, P, k: int, exclude=None):
                 ex = np.asarray(exclude[lo:lo + rows])
                 s[r, ex] = np.inf
             kth = s.min(axis=1) if k == 1 else np.partition(s, k - 1, axis=1)[:, k - 1]
-            # A screened value differs from the exact |q|^2 - 2 p.q, and the
-            # square of the distance np.linalg.norm returns from the exact
-            # |p - q|^2, each by at most about (2d + 7) * 2^-53 * (|p|^2 + |q|^2),
-            # plus a few multiples of d subnormal units (2^-1074) where squares
-            # underflow. Within a row the two differ by the constant |p|^2, so
-            # every row of the exact top k screens at most twice that above the
-            # k-th screened value, which the slack below exceeds for any d up
-            # to about 10^6. Where |p|^2, some |q|^2, the bound or the bound
-            # plus |p|^2 (about the k-th squared distance) is not finite, the
-            # row takes the full exact scan: squares overflow near 1e154.
-            bound = kth + (1e-9 * (sq_p + sq_q_max) + 1e-300)
-            full = ~np.isfinite(bound + sq_p)
+            bound, full = _screen_bound(kth, sq_p, sq_q_max)
         keep = s <= bound[:, None]
         keep[full] = True
         if exclude is not None:
@@ -228,6 +238,38 @@ def _nearest(Q, P, k: int, exclude=None):
         at = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
         out[lo:lo + rows], dist[lo:lo + rows] = j[at], d[at]
     return out, dist
+
+
+def _nearest_distance(Q, P):
+    """_nearest(Q, P, 1)[1][:, 0] for non-empty Q, bit for bit: the
+    np.linalg.norm distance from each row of P to its nearest row of Q.
+
+    The screen is _nearest's, in blocks of _DISTANCE_BLOCK entries. The
+    pairs it keeps get the exact distance, and each row takes the least of
+    its own: every row keeps at least its smallest screened value, and a
+    NaN distance counts only where all of the row's are NaN, as NaN sorts
+    last in _nearest.
+    """
+    Q = np.asarray(Q, dtype=float)
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    out = np.empty(len(P))
+    sq_q = np.einsum("ij,ij->i", Q, Q)
+    sq_q_max = sq_q.max()
+    Qt = -2.0 * Q.T
+    rows = max(1, _DISTANCE_BLOCK // len(Q))
+    for lo in range(0, len(P), rows):
+        B = P[lo:lo + rows]
+        sq_p = np.einsum("ij,ij->i", B, B)
+        with np.errstate(over="ignore", invalid="ignore"):   # overflow falls back
+            s = B @ Qt
+            s += sq_q
+            bound, full = _screen_bound(s.min(axis=1), sq_p, sq_q_max)
+        keep = s <= bound[:, None]
+        keep[full] = True
+        i, j = np.divmod(np.flatnonzero(keep), len(Q))   # i ascends
+        d = np.linalg.norm(Q[j] - B[i], axis=1)
+        out[lo:lo + rows] = np.fmin.reduceat(d, np.searchsorted(i, np.arange(len(B))))
+    return out
 
 
 class _NeighbourLists:
@@ -398,10 +440,12 @@ def regularization_accept(candidates, majority, seeds):
     as to the majority class)."""
     if len(majority) == 0:
         raise ValueError("majority must be non-empty")
-    dist_maj = _nearest(majority, candidates, 1)[1][:, 0]
-    # per row, the arithmetic of the 1-D np.linalg.norm, sqrt(v.dot(v)): it
-    # can differ in the last bit from the 2-D form's
-    dist_min = np.sqrt([v.dot(v) for v in np.atleast_2d(candidates) - seeds])
+    dist_maj = _nearest_distance(majority, candidates)
+    # per row, the arithmetic of the 1-D np.linalg.norm, sqrt(v.dot(v)), which
+    # a stack of 1 x d by d x 1 products shares; the 2-D form's can differ in
+    # the last bit
+    D = np.atleast_2d(candidates) - seeds
+    dist_min = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
     return dist_min, dist_maj, dist_min <= dist_maj
 
 

@@ -210,6 +210,17 @@ class TestRun:
         assert err.startswith("error:") and message in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("fraction", ["inf", "1e308"])
+    def test_k_fraction_whose_k_overflows_errors_in_one_line(self, blob_csv, tmp_path, capsys,
+                                                             fraction):
+        # round(fraction * gap) would raise OverflowError
+        out = tmp_path / "o.json"
+        code = run_cli(["run", "--data", str(blob_csv), "--method", "smote",
+                        "--replications", "2", "--k-fraction", fraction, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: --k-fraction must be > 0 and finite, got {float(fraction)}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["re_smoteboost", "smote"])
     @pytest.mark.parametrize("extra, message", [

@@ -20,7 +20,8 @@ from resmoteboost import (ClassPartition, Dataset, KNNLearner, NEGATIVE, POSITIV
                           make_gaussian_blobs, regularization_accept, smote_interpolate, spin,
                           tomek_links)
 from resmoteboost.entropy import entropy_batch, posterior_batch
-from resmoteboost.pruning import _nearest, _oversample, nearest_rows
+from resmoteboost import pruning
+from resmoteboost.pruning import _nearest, _nearest_distance, _oversample, nearest_rows
 from resmoteboost.samplers import _majority_neighbor_counts
 
 
@@ -103,6 +104,59 @@ class TestNearestRows:
         np.testing.assert_array_equal(nearest_rows(Q, np.array([1.0]), 3), [[2, 3, 0]])
         np.testing.assert_array_equal(nearest_rows(Q, [[1.0]], 9, exclude=[2]), [[3, 0, 1]])
         assert nearest_rows(Q[:1], [[1.0]], 3, exclude=[0]).shape == (1, 0)
+
+
+class TestNearestDistance:
+    # squares near 1e154 overflow in the norms as in the full scan
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(KINDS), n=st.integers(1, 40), d=st.integers(1, 5),
+           m=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    def test_matches_nearest(self, kind, n, d, m, seed):
+        rng = np.random.default_rng(seed)
+        Q = make_rows(kind, n, d, rng)
+        # fresh rows, rows of Q (exact ties on duplicates), and rows of Q moved slightly
+        near = Q[rng.integers(0, n, m)] + 1e-3 * make_rows(kind, m, d, rng)
+        P = np.vstack([make_rows(kind, m, d, rng), Q, near])[rng.permutation(2 * m + n)[:m]]
+        got = _nearest_distance(Q, P)
+        assert got.tobytes() == _nearest(Q, P, 1)[1][:, 0].tobytes()
+        full_scan = [np.linalg.norm(Q - p, axis=1).min() for p in P]
+        assert got.tobytes() == np.array(full_scan).tobytes()
+
+    def test_one_row_and_empty_inputs(self):
+        Q = np.array([[3.0, 4.0]])
+        assert _nearest_distance(Q, np.zeros((2, 2))).tolist() == [5.0, 5.0]
+        assert _nearest_distance(Q, np.empty((0, 2))).shape == (0,)
+        assert _nearest_distance(Q, [0.0, 0.0]).tolist() == [5.0]
+
+    def test_nan_distance_sorts_last(self):
+        # as in _nearest, a NaN distance is the answer only where every one is
+        Q = np.array([[np.nan, 0.0], [3.0, 4.0]])
+        P = np.array([[0.0, 0.0], [np.nan, 1.0]])
+        got = _nearest_distance(Q, P)
+        assert got.tobytes() == _nearest(Q, P, 1)[1][:, 0].tobytes()
+        assert got[0] == 5.0 and np.isnan(got[1])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["unit", "grid", "duplicates", "near-overflow"])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_blocks_match_one_full_block(monkeypatch, kind, rows):
+    # both kernels answer each P row on its own, so blocks of 1 and 2 rows
+    # give the bits of one block holding every row
+    rng = np.random.default_rng(7)
+    Q = make_rows(kind, 30, 3, rng)
+    P = np.vstack([make_rows(kind, 9, 3, rng), Q[:6]])
+    exclude = np.r_[rng.integers(0, 30, 9), np.arange(6)]
+
+    def answers(budget):
+        monkeypatch.setattr(pruning, "_BLOCK", budget)
+        monkeypatch.setattr(pruning, "_DISTANCE_BLOCK", budget)
+        return [*_nearest(Q, P, 1), *_nearest(Q, P, 5, exclude), _nearest_distance(Q, P)]
+
+    full = answers(len(Q) * len(P))
+    for got, want in zip(answers(len(Q) * rows), full, strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 def old_smote_interpolate(seed, minority, seed_index, k_neighbors, rng):
@@ -194,6 +248,19 @@ class TestRegularizationAccept:
         assert bool(ok[0]) == old_ok
         assert dist_min[0].tobytes() == np.float64(old_min).tobytes()
         assert dist_maj[0].tobytes() == np.float64(old_maj).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 40), m=st.integers(0, 50), wide=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_seed_distance_is_the_row_loop(self, d, m, wide, seed):
+        # dist_min keeps the 1-D np.linalg.norm arithmetic, sqrt(v.dot(v)),
+        # byte for byte, including rows whose entries span many magnitudes
+        rng = np.random.default_rng(seed)
+        C, S = rng.normal(size=(2, m, d))
+        if wide:
+            C *= 10.0 ** rng.uniform(-150, 150, size=(m, d))
+        dist_min = regularization_accept(C, rng.normal(size=(4, d)), S)[0]
+        assert dist_min.tobytes() == np.sqrt([v.dot(v) for v in C - S]).tobytes()
 
     def test_tie_accepts(self):
         M = np.array([[2.0, 0.0], [0.0, 5.0]])
