@@ -26,9 +26,10 @@ def main():
 
     stats = {}
     cfg = PruningConfig(k=90, k_neighbors=5)
-    maj, mino = double_pruning(part.majority, part.minority, cfg,
-                               RandomSource(0), stats=stats)
-    print(f"after one k=90 step: majority={len(maj)} minority={len(mino)}")
+    keep, rows = double_pruning(part.majority, part.minority, cfg,
+                                RandomSource(0), stats=stats)
+    print(f"after one k=90 step: majority={len(keep)} "
+          f"minority={len(part.minority) + len(rows)}")
     print(f"roulette spins={stats['spins']} accepted={stats['accepted']} "
           f"retained after noise filter={stats['retained']}")
 

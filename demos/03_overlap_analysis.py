@@ -10,6 +10,7 @@ import numpy as np
 
 from resmoteboost import (
     Dataset,
+    POSITIVE,
     PruningConfig,
     RandomSource,
     double_pruning,
@@ -24,9 +25,10 @@ def main():
     data = make_gaussian_blobs(n_majority=300, n_minority=100, d=4,
                                separation=1.0, seed=11)
     part = partition_by_class(data)
-    maj, mino = double_pruning(part.majority, part.minority,
-                               PruningConfig(k=60), RandomSource(1))
-    resampled = maj.concat(mino)
+    keep, rows = double_pruning(part.majority, part.minority,
+                                PruningConfig(k=60), RandomSource(1))
+    synthetics = Dataset(rows, np.full(len(rows), POSITIVE))
+    resampled = part.majority.subset(keep).concat(part.minority).concat(synthetics)
 
     print("feature   original   resampled")
     for f in range(4):

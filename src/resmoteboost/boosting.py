@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, NEGATIVE, POSITIVE, RandomSource, _integer, partition_by_class
 from .entropy import fit_gnb, log_joint
-from .pruning import (PruningConfig, _NeighbourLists, nearest_rows, pruning_step,
+from .pruning import (PruningConfig, _NeighbourLists, double_pruning, nearest_rows,
                       smote_interpolate)
 
 _ALPHA_EPS = 1e-10  # clamp for zero training error
@@ -323,8 +323,8 @@ def _rebalance(train: Dataset, maj_idx, min_idx, syn_X, cfg: BoostConfig,
     else:  # double_pruning
         k_eff = min(cfg.k, len(maj_idx) - 1)
         if k_eff >= 1:
-            keep, rows = pruning_step(train.subset(maj_idx), minority,
-                                      replace(cfg.pruning, k=k_eff), rng, stats=audit)
+            keep, rows = double_pruning(train.subset(maj_idx), minority,
+                                        replace(cfg.pruning, k=k_eff), rng, stats=audit)
             maj_idx = maj_idx[keep]
             syn_X = np.vstack([syn_X, rows])
     return maj_idx, syn_X
@@ -411,6 +411,8 @@ def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSo
         if capture is not None:
             capture.update(X=X_fit, y=y_fit, synthetics=records)
 
-    if not learners:
-        raise RuntimeError("boosting failed: no base learner achieved error < 0.5")
+    if not learners:   # the loop stopped at round t, on that round's pool
+        raise RuntimeError(f"boosting failed: no base learner achieved error < 0.5 in round {t} "
+                           f"(k={cfg.k}, pool of {len(maj_idx)} majority and "
+                           f"{len(min_idx) + n_syn} minority rows)")
     return BoostedEnsemble(learners=learners, alphas=alphas, training_log=log)

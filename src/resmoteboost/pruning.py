@@ -1,10 +1,11 @@
 """Double-pruning resampling engine.
 
-The balancing step combines:
+The balancing step, double_pruning, fits one naive Bayes model on the
+current pool and runs:
 
-* majority pruning — drop the k lowest-entropy majority samples under a
-  naive Bayes model fit on the current pool;
-* minority oversampling — roulette-wheel seed selection where a minority
+* majority_class_pruning — drop the k lowest-entropy majority samples
+  under that model;
+* minority_class_pruning — roulette-wheel seed selection where a minority
   sample's fitness is the reciprocal of its summed L1 distance to the
   majority class (one wheel per round, its sums taken from sorted majority
   columns and their prefix sums), SMOTE-style interpolation toward a
@@ -78,25 +79,16 @@ class RouletteWheel:
             raise ValueError("cumulative probabilities must be sorted and end at 1")
 
 
-def _entropy_keep(model, majority: Dataset, k: int) -> np.ndarray:
+def majority_class_pruning(majority: Dataset, model, k: int) -> np.ndarray:
     """Sorted positions of the majority rows left after removing the k
-    lowest-entropy rows; ties remove the lower position first."""
+    lowest-entropy rows under `model`; ties remove the lower position first.
+    The pruned Dataset is majority.subset(keep)."""
+    if not _integer(k) or not 0 <= k < len(majority):
+        raise ValueError(f"k must be an integer >= 0 and below the majority size "
+                         f"{len(majority)}, got {k!r}")
     ent = entropy_batch(posterior_batch(model, majority.X))
     order = np.argsort(ent, kind="stable")          # ascending; stable => lower index first
     return np.sort(order[k:])
-
-
-def majority_class_pruning(majority: Dataset, pool: Dataset, k: int) -> Dataset:
-    """Remove the k lowest-entropy majority samples.
-
-    The entropy model is fit on `pool` (both classes); ties break toward
-    removing the lower index first.
-    """
-    if k >= len(majority):
-        raise ValueError(f"k={k} must be smaller than the majority size {len(majority)}")
-    if k == 0:
-        return majority
-    return majority.subset(_entropy_keep(fit_gnb(pool), majority, k))
 
 
 def build_roulette(minority: Dataset, majority: Dataset, epsilon: float = 1e-12) -> RouletteWheel:
@@ -415,6 +407,8 @@ def smote_interpolate(X, n: int, k_neighbors: int, rng: RandomSource, seeds=None
 
     Returns (points, seeds, neighbor positions, alphas).
     """
+    if not _integer(n) or n < 0:
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
     if len(X) < 2:
         raise ValueError("need at least 2 minority samples to interpolate")
     n_slots = min(k_neighbors, len(X) - 1)
@@ -453,18 +447,25 @@ def noise_filter(candidates, model, k: int):
     """(order, entropies): the positions of the min(k, n) highest-entropy
     candidate rows under `model` in descending entropy order, ties keeping
     the lower position first, and every row's entropy."""
+    if not _integer(k) or k < 0:
+        raise ValueError(f"k must be an integer >= 0, got {k!r}")
     if len(candidates) == 0:
         raise ValueError("no candidates to filter")
     ent = entropy_batch(posterior_batch(model, candidates))
     return np.argsort(-ent, kind="stable")[: min(k, len(ent))], ent
 
 
-def _oversample(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
-                rng: RandomSource, stats: dict | None):
-    """The rows of the synthetics minority_class_pruning adds, noise-filtered
-    under `model`, in descending entropy order. `stats` receives the counts
-    and, when some are retained, one provenance record per row
-    ("synthetics")."""
+def minority_class_pruning(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
+                           rng: RandomSource, stats: dict | None = None):
+    """The rows of up to cfg.k filtered synthetic minority samples, in
+    descending entropy order.
+
+    Accepted candidates are gathered (up to ceil(candidate_multiplier * k),
+    bounded by spin_cap roulette spins), then the entropy noise filter keeps
+    the top k under `model`. If the acceptance region is tiny fewer than k
+    rows come back. `stats` receives the counts and, when some are
+    retained, one provenance record per row ("synthetics").
+    """
     wheel = build_roulette(minority, majority, cfg.epsilon)
     target = math.ceil(cfg.candidate_multiplier * cfg.k)
     cap = cfg.effective_spin_cap
@@ -506,47 +507,16 @@ def _with_synthetics(minority: Dataset, rows) -> Dataset:
     return minority.concat(syn)
 
 
-def minority_class_pruning(majority: Dataset, minority: Dataset, cfg: PruningConfig,
-                           rng: RandomSource, stats: dict | None = None) -> Dataset:
-    """Grow the minority class by up to cfg.k filtered synthetic samples.
-
-    Accepted candidates are gathered (up to ceil(candidate_multiplier * k),
-    bounded by spin_cap roulette spins), then the entropy noise filter keeps
-    the top k. If the acceptance region is tiny the result may gain fewer
-    than k samples; the caller sees the actual count.
-    """
-    if len(minority) < 2:
-        raise ValueError("need at least 2 minority samples")
-    if len(majority) == 0:
-        raise ValueError("majority must be non-empty")
-    model = fit_gnb(majority.concat(minority))
-    return _with_synthetics(minority, _oversample(majority, minority, cfg, model, rng, stats))
-
-
-def pruning_step(majority: Dataset, minority: Dataset, cfg: PruningConfig,
-                 rng: RandomSource, stats: dict | None = None):
-    """One double-pruning step. A single naive Bayes model, fit on
-    majority ∪ minority, scores both the majority rows and the candidates.
-
-    Returns (keep, rows): the sorted positions of the majority rows kept
-    (all but the cfg.k lowest-entropy ones) and the rows of the retained
-    synthetics (at most cfg.k, in descending entropy order). With k = 0 the
-    candidate target is 0, so nothing is removed or added.
-    """
-    if cfg.k >= len(majority):
-        raise ValueError(f"k={cfg.k} must be smaller than the majority size {len(majority)}")
-    if len(minority) < 2:
-        raise ValueError("need at least 2 minority samples")
-    model = fit_gnb(majority.concat(minority))
-    keep = _entropy_keep(model, majority, cfg.k)
-    return keep, _oversample(majority, minority, cfg, model, rng, stats)
-
-
 def double_pruning(majority: Dataset, minority: Dataset, cfg: PruningConfig,
                    rng: RandomSource, stats: dict | None = None):
-    """One balancing step: prune k majority samples, add up to k synthetics.
+    """One balancing step. A single naive Bayes model, fit on
+    majority ∪ minority, scores both the majority rows and the candidates.
 
-    Returns (new_majority, new_minority); inputs are never mutated.
+    Returns (keep, rows): majority_class_pruning's kept positions (all but
+    the cfg.k lowest-entropy rows) and minority_class_pruning's synthetic
+    rows (at most cfg.k). With k = 0 the candidate target is 0, so nothing
+    is removed or added. Inputs are never mutated.
     """
-    keep, rows = pruning_step(majority, minority, cfg, rng, stats=stats)
-    return majority.subset(keep), _with_synthetics(minority, rows)
+    model = fit_gnb(majority.concat(minority))
+    keep = majority_class_pruning(majority, model, cfg.k)
+    return keep, minority_class_pruning(majority, minority, cfg, model, rng, stats)

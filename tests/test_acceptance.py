@@ -24,15 +24,12 @@ from resmoteboost import (
     RandomSource,
     binary_metrics,
     build_roulette,
-    double_pruning,
     fisher_ratio,
     fit_boosted,
     fit_gnb,
     heuristic_tmax,
     load_csv,
-    majority_class_pruning,
     make_gaussian_blobs,
-    minority_class_pruning,
     overlap_feature_count,
     partition_by_class,
     posterior,
@@ -43,6 +40,8 @@ from resmoteboost import (
 )
 from resmoteboost.boosting import BoostConfig, DecisionStump
 from resmoteboost.entropy import GaussianNBModel, entropy_batch, posterior_batch
+
+from test_pruning import grown_minority, pruned_classes, pruned_majority
 
 
 def test_criterion_1_metric_oracles():
@@ -82,7 +81,7 @@ def test_criterion_3_randomized_pruning_properties():
 
         # (a) majority pruning removes exactly the k lowest-entropy samples
         pool = part.majority.concat(part.minority)
-        pruned = majority_class_pruning(part.majority, pool, k)
+        pruned = pruned_majority(part.majority, pool, k)
         model = fit_gnb(pool)
         ent = entropy_batch(posterior_batch(model, part.majority.X))
         keep = np.sort(np.argsort(ent, kind="stable")[k:])
@@ -92,8 +91,8 @@ def test_criterion_3_randomized_pruning_properties():
         #     lies on a seed->neighbor segment (collinearity residual <= 1e-9)
         stats: dict = {}
         cfg = PruningConfig(k=k, k_neighbors=3)
-        minority_class_pruning(part.majority, part.minority, cfg,
-                               RandomSource(trial), stats=stats)
+        grown_minority(part.majority, part.minority, cfg,
+                       RandomSource(trial), stats=stats)
         for syn in stats.get("synthetics", []):
             assert syn["dist_min"] <= syn["dist_maj"] + 1e-12
             x = np.array(syn["x"])
@@ -111,7 +110,7 @@ def test_criterion_4_balance_law():
     data = make_gaussian_blobs(366, 193, 2, 12.0, 5)
     part = partition_by_class(data)
     cfg = PruningConfig(k=90)
-    maj, mino = double_pruning(part.majority, part.minority, cfg, RandomSource(0))
+    maj, mino = pruned_classes(part.majority, part.minority, cfg, RandomSource(0))
     assert len(maj) == 276
     assert len(mino) == 283
 
@@ -122,7 +121,7 @@ def test_criterion_4_balance_law():
     maj, mino = part.majority, part.minority
     rng = RandomSource(3)
     for _ in range(heuristic_tmax(200, 60, k)):
-        maj, mino = double_pruning(maj, mino, PruningConfig(k=k), rng)
+        maj, mino = pruned_classes(maj, mino, PruningConfig(k=k), rng)
     assert -2 * k < len(maj) - len(mino) < 2 * k
     assert time.monotonic() - start < 10.0
 

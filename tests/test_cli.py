@@ -222,6 +222,22 @@ class TestRun:
         assert err == f"error: --k-fraction must be > 0 and finite, got {float(fraction)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, k, n_maj, n_min", [
+        # round 0 prunes the 48 training majority rows to 9 and adds 39 synthetics
+        ("re_smoteboost", "39", 9, 16 + 39),
+        ("rusboost", "100", 1, 16),
+    ])
+    def test_failed_boosting_names_round_k_and_pool(self, blob_csv, tmp_path, capsys,
+                                                    method, k, n_maj, n_min):
+        out = tmp_path / "o.json"
+        code = run_cli(["run", "--data", str(blob_csv), "--method", method,
+                        "--replications", "1", "--k", k, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: boosting failed: no base learner achieved error < 0.5 in round 0 "
+                       f"(k={k}, pool of {n_maj} majority and {n_min} minority rows)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["re_smoteboost", "smote"])
     @pytest.mark.parametrize("extra, message", [
         (("--t-max", "abc"), "error: --t-max must be 'heuristic' or an integer >= 1, got 'abc'"),

@@ -21,7 +21,8 @@ from resmoteboost import (ClassPartition, Dataset, KNNLearner, NEGATIVE, POSITIV
                           tomek_links)
 from resmoteboost.entropy import entropy_batch, posterior_batch
 from resmoteboost import pruning
-from resmoteboost.pruning import _nearest, _nearest_distance, _oversample, nearest_rows
+from resmoteboost.pruning import (_nearest, _nearest_distance, minority_class_pruning,
+                                  nearest_rows)
 from resmoteboost.samplers import _majority_neighbor_counts
 
 
@@ -313,13 +314,13 @@ def pools(kind: str, n_maj: int, n_min: int, d: int, seed: int):
 
 
 def assert_matches_oracle(majority, minority, cfg, seed):
-    """_oversample against oversample_oracle: the same rows bit for bit, the
-    same stats (provenance records included) and the same generator state.
-    Returns the stats."""
+    """minority_class_pruning against oversample_oracle: the same rows bit for
+    bit, the same stats (provenance records included) and the same generator
+    state. Returns the stats."""
     model = fit_gnb(majority.concat(minority))
     rng_new, rng_old = RandomSource(seed), RandomSource(seed)
     stats_new, stats_old = {}, {}
-    rows = _oversample(majority, minority, cfg, model, rng_new, stats_new)
+    rows = minority_class_pruning(majority, minority, cfg, model, rng_new, stats_new)
     old = oversample_oracle(majority, minority, cfg, model, rng_old, stats_old)
     assert stats_new == stats_old
     expected = np.array(old).reshape(len(old), minority.dimension)

@@ -1,9 +1,13 @@
+import functools
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from resmoteboost import (
     Dataset,
+    ExperimentConfig,
     NEGATIVE,
     POSITIVE,
     PruningConfig,
@@ -17,11 +21,12 @@ from resmoteboost import (
     noise_filter,
     partition_by_class,
     regularization_accept,
+    run_experiment,
     smote_interpolate,
     spin,
 )
+from resmoteboost import pruning
 from resmoteboost.entropy import entropy_batch, posterior_batch
-from resmoteboost.pruning import pruning_step
 
 
 def blob_partition(n_maj=40, n_min=15, sep=2.0, seed=0):
@@ -29,12 +34,35 @@ def blob_partition(n_maj=40, n_min=15, sep=2.0, seed=0):
     return partition_by_class(data)
 
 
+def with_rows(minority, rows):
+    """The minority Dataset grown by synthetic rows."""
+    return minority.concat(Dataset(rows, np.full(len(rows), POSITIVE)))
+
+
+def pruned_majority(majority, pool, k):
+    """The majority rows majority_class_pruning keeps, its model fit on `pool`."""
+    return majority.subset(majority_class_pruning(majority, fit_gnb(pool), k))
+
+
+def grown_minority(majority, minority, cfg, rng, stats=None):
+    """The minority grown by minority_class_pruning's rows, under the model
+    double_pruning fits."""
+    model = fit_gnb(majority.concat(minority))
+    return with_rows(minority, minority_class_pruning(majority, minority, cfg, model, rng, stats))
+
+
+def pruned_classes(majority, minority, cfg, rng, stats=None):
+    """double_pruning's (keep, rows) as the new (majority, minority) Datasets."""
+    keep, rows = double_pruning(majority, minority, cfg, rng, stats)
+    return majority.subset(keep), with_rows(minority, rows)
+
+
 class TestMajorityPruning:
     def test_removes_lowest_entropy(self):
         part = blob_partition(seed=3)
         pool = part.majority.concat(part.minority)
         k = 10
-        pruned = majority_class_pruning(part.majority, pool, k)
+        pruned = pruned_majority(part.majority, pool, k)
         assert len(pruned) == len(part.majority) - k
         # independent oracle: full sort of entropies computed from scratch
         model = fit_gnb(pool)
@@ -47,20 +75,27 @@ class TestMajorityPruning:
     def test_k_zero_is_identity(self):
         part = blob_partition()
         pool = part.majority.concat(part.minority)
-        pruned = majority_class_pruning(part.majority, pool, 0)
+        pruned = pruned_majority(part.majority, pool, 0)
         np.testing.assert_array_equal(pruned.X, part.majority.X)
 
     def test_k_too_large_errors(self):
         part = blob_partition(n_maj=5, n_min=3)
         pool = part.majority.concat(part.minority)
         with pytest.raises(ValueError):
-            majority_class_pruning(part.majority, pool, 5)
+            pruned_majority(part.majority, pool, 5)
+
+    @pytest.mark.parametrize("k", [-1, 40, 41, 2.5, True, "3"])
+    def test_k_outside_the_majority_errors_naming_it(self, k):
+        part = blob_partition()
+        model = fit_gnb(part.majority.concat(part.minority))
+        with pytest.raises(ValueError, match=rf"below the majority size 40, got {k!r}"):
+            majority_class_pruning(part.majority, model, k)
 
     def test_retained_entropy_dominates_removed(self):
         for seed in range(5):
             part = blob_partition(seed=seed, sep=1.0)
             pool = part.majority.concat(part.minority)
-            pruned = majority_class_pruning(part.majority, pool, 12)
+            pruned = pruned_majority(part.majority, pool, 12)
             model = fit_gnb(pool)
             ent = entropy_batch(posterior_batch(model, part.majority.X))
             kept_rows = {tuple(r) for r in pruned.X}
@@ -159,6 +194,12 @@ class TestInterpolate:
         with pytest.raises(ValueError):
             smote_interpolate(np.array([[0.0]]), 1, 5, RandomSource(0), [0])
 
+    @pytest.mark.parametrize("n", [-3, -1, 2.5, True])
+    def test_bad_count_errors_naming_it(self, n):
+        X = np.random.default_rng(0).normal(size=(6, 2))
+        with pytest.raises(ValueError, match=rf"n must be an integer >= 0, got {n!r}"):
+            smote_interpolate(X, n, 5, RandomSource(0))
+
 
 class TestRegularizationAccept:
     def accept(self, x, seed, M):
@@ -204,12 +245,20 @@ class TestNoiseFilter:
         with pytest.raises(ValueError):
             noise_filter(np.empty((0, 2)), model, 2)
 
+    @pytest.mark.parametrize("k", [-2, 1.5, False])
+    def test_bad_k_errors_naming_it(self, k):
+        part = blob_partition()
+        model = fit_gnb(part.majority.concat(part.minority))
+        candidates = smote_interpolate(part.minority.X, 12, 5, RandomSource(3))[0]
+        with pytest.raises(ValueError, match=rf"k must be an integer >= 0, got {k!r}"):
+            noise_filter(candidates, model, k)
+
 
 class TestMinorityPruning:
     def test_k_zero_identity(self):
         part = blob_partition()
-        out = minority_class_pruning(part.majority, part.minority,
-                                     PruningConfig(k=0), RandomSource(0))
+        out = grown_minority(part.majority, part.minority,
+                             PruningConfig(k=0), RandomSource(0))
         np.testing.assert_array_equal(out.X, part.minority.X)
 
     def test_full_acceptance_on_separated_blobs(self):
@@ -217,8 +266,8 @@ class TestMinorityPruning:
             part = blob_partition(sep=8.0, seed=seed)
             cfg = PruningConfig(k=5)
             stats = {}
-            out = minority_class_pruning(part.majority, part.minority, cfg,
-                                         RandomSource(seed), stats=stats)
+            out = grown_minority(part.majority, part.minority, cfg,
+                                 RandomSource(seed), stats=stats)
             assert len(out) == len(part.minority) + 5
             assert stats["accepted"] == stats["spins"]  # acceptance rate 1
 
@@ -226,8 +275,8 @@ class TestMinorityPruning:
         part = blob_partition(sep=3.0, seed=9)
         cfg = PruningConfig(k=6)
         stats = {}
-        out = minority_class_pruning(part.majority, part.minority, cfg,
-                                     RandomSource(11), stats=stats)
+        out = grown_minority(part.majority, part.minority, cfg,
+                             RandomSource(11), stats=stats)
         for record in stats["synthetics"]:
             x = np.array(record["x"])
             dist_maj = np.linalg.norm(part.majority.X - x, axis=1).min()
@@ -243,7 +292,7 @@ class TestDoublePruning:
     def test_exact_size_arithmetic(self):
         data = make_gaussian_blobs(366, 193, 2, 12.0, 0)
         part = partition_by_class(data)
-        new_maj, new_min = double_pruning(part.majority, part.minority,
+        new_maj, new_min = pruned_classes(part.majority, part.minority,
                                           PruningConfig(k=90), RandomSource(1))
         assert len(new_maj) == 276
         assert len(new_min) == 283
@@ -251,7 +300,7 @@ class TestDoublePruning:
     def test_small_partition_arithmetic(self):
         data = make_gaussian_blobs(3, 2, 2, 10.0, 5)
         part = partition_by_class(data)
-        new_maj, new_min = double_pruning(part.majority, part.minority,
+        new_maj, new_min = pruned_classes(part.majority, part.minority,
                                           PruningConfig(k=1), RandomSource(0))
         assert len(new_maj) == 2
         assert len(new_min) in (2, 3)
@@ -260,9 +309,9 @@ class TestDoublePruning:
         part = blob_partition(sep=4.0, seed=6)
         maj_before = part.majority.X.copy()
         cfg = PruningConfig(k=4)
-        a = double_pruning(part.majority, part.minority, cfg, RandomSource(42))
+        a = pruned_classes(part.majority, part.minority, cfg, RandomSource(42))
         np.testing.assert_array_equal(part.majority.X, maj_before)
-        b = double_pruning(part.majority, part.minority, cfg, RandomSource(42))
+        b = pruned_classes(part.majority, part.minority, cfg, RandomSource(42))
         np.testing.assert_array_equal(a[0].X, b[0].X)
         np.testing.assert_array_equal(a[1].X, b[1].X)
 
@@ -274,8 +323,37 @@ class TestDoublePruning:
         rng = RandomSource(3)
         for _ in range(3):
             gap_before = len(maj) - len(mino)
-            maj, mino = double_pruning(maj, mino, PruningConfig(k=k), rng)
+            maj, mino = pruned_classes(maj, mino, PruningConfig(k=k), rng)
             assert (len(maj) - len(mino)) == gap_before - 2 * k
+
+
+PIPELINE = ("double_pruning", "majority_class_pruning", "minority_class_pruning")
+
+
+def test_boosting_runs_the_double_pruning_names(monkeypatch):
+    """Each name is wrapped in every resmoteboost module that holds it; a
+    re_smoteboost run calls each once per round that rebalanced."""
+    calls = dict.fromkeys(PIPELINE, 0)
+    modules = [m for name, m in sys.modules.items()
+               if name == "resmoteboost" or name.startswith("resmoteboost.")]
+    for name in PIPELINE:
+        original = getattr(pruning, name)
+
+        @functools.wraps(original)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    report = run_experiment(make_gaussian_blobs(80, 20, 2, 1.5, 0),
+                            ExperimentConfig(method="re_smoteboost", k=4, t_max=4,
+                                             replications=2, seed=0))
+    rounds = sum("spins" in entry["rebalance"] for rep in report["replications"]
+                 for entry in rep["model"]["training_log"])
+    assert rounds > 0
+    assert calls == dict.fromkeys(PIPELINE, rounds)
 
 
 @st.composite
@@ -298,12 +376,12 @@ class TestDuplicateRows:
     def test_kept_positions_under_duplicates(self, pools, seed):
         majority, minority, k = pools
         cfg = PruningConfig(k=k)
-        keep, _ = pruning_step(majority, minority, cfg, RandomSource(seed))
+        keep, _ = double_pruning(majority, minority, cfg, RandomSource(seed))
         # the removed rows are the k smallest by (entropy, position)
         ent = entropy_batch(posterior_batch(fit_gnb(majority.concat(minority)), majority.X))
         removed = np.lexsort((np.arange(len(majority)), ent))[:k]
         np.testing.assert_array_equal(keep, np.setdiff1d(np.arange(len(majority)), removed))
-        new_majority, _ = double_pruning(majority, minority, cfg, RandomSource(seed))
+        new_majority, _ = pruned_classes(majority, minority, cfg, RandomSource(seed))
         np.testing.assert_array_equal(new_majority.X, majority.subset(keep).X)
 
 

@@ -2,9 +2,9 @@
 
 `build_roulette` defines each minority row's summed L1 distance to the
 majority class by sorted, centred majority columns and their prefix sums.
-Every selection, in `spin`, in `_oversample` and in the samplers' oracle, is
-a search of that one wheel. The tests pin the sums bit for bit to that
-arithmetic, hold them within a stated rounding tolerance of scipy's
+Every selection, in `spin`, in `minority_class_pruning` and in the samplers'
+oracle, is a search of that one wheel. The tests pin the sums bit for bit to
+that arithmetic, hold them within a stated rounding tolerance of scipy's
 `cdist(..., "cityblock")` sums, and check the wheel stays valid where its
 arithmetic is most strained.
 """
@@ -17,7 +17,7 @@ from scipy.spatial.distance import cdist
 from resmoteboost import (Dataset, ExperimentConfig, NEGATIVE, POSITIVE, PruningConfig,
                           RandomSource, RouletteWheel, build_roulette, make_gaussian_blobs,
                           run_experiment, spin)
-from resmoteboost.pruning import _oversample, _select, smote_interpolate
+from resmoteboost.pruning import _select, minority_class_pruning, smote_interpolate
 
 from test_nearest import KINDS, assert_matches_oracle, make_rows, pools
 
@@ -162,7 +162,8 @@ class TestUncertifiedRounds:
     def test_empty_class_raises_as_build_roulette(self):
         minority, majority = classes(np.ones((3, 2)), np.empty((0, 2)))
         with pytest.raises(ValueError, match="non-empty"):
-            _oversample(majority, minority, PruningConfig(k=1), None, RandomSource(0), None)
+            minority_class_pruning(majority, minority, PruningConfig(k=1), None,
+                                   RandomSource(0), None)
 
 
 class TestWheelValidation:
