@@ -8,7 +8,6 @@ class with the regularization and noise-filter gates visible in the stats.
 import numpy as np
 
 from resmoteboost import (
-    PruningConfig,
     RandomSource,
     double_pruning,
     imbalance_ratio,
@@ -25,8 +24,7 @@ def main():
           f"IR={imbalance_ratio(part):.2f}")
 
     stats = {}
-    cfg = PruningConfig(k=90, k_neighbors=5)
-    keep, rows = double_pruning(part.majority, part.minority, cfg,
+    keep, rows = double_pruning(part.majority, part.minority, 90, 5,
                                 RandomSource(0), stats=stats)
     print(f"after one k=90 step: majority={len(keep)} "
           f"minority={len(part.minority) + len(rows)}")

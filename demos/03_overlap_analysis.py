@@ -11,7 +11,6 @@ import numpy as np
 from resmoteboost import (
     Dataset,
     POSITIVE,
-    PruningConfig,
     RandomSource,
     double_pruning,
     fisher_ratio,
@@ -25,8 +24,7 @@ def main():
     data = make_gaussian_blobs(n_majority=300, n_minority=100, d=4,
                                separation=1.0, seed=11)
     part = partition_by_class(data)
-    keep, rows = double_pruning(part.majority, part.minority,
-                                PruningConfig(k=60), RandomSource(1))
+    keep, rows = double_pruning(part.majority, part.minority, 60, 5, RandomSource(1))
     synthetics = Dataset(rows, np.full(len(rows), POSITIVE))
     resampled = part.majority.subset(keep).concat(part.minority).concat(synthetics)
 

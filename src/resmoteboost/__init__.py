@@ -24,7 +24,6 @@ from .entropy import (
     shannon_entropy,
 )
 from .pruning import (
-    PruningConfig,
     RouletteWheel,
     build_roulette,
     double_pruning,

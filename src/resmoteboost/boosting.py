@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, NEGATIVE, POSITIVE, RandomSource, _integer, partition_by_class
 from .entropy import fit_gnb, log_joint
-from .pruning import (PruningConfig, _NeighbourLists, double_pruning, nearest_rows,
-                      smote_interpolate)
+from .pruning import _NeighbourLists, double_pruning, nearest_rows, smote_interpolate
 
 _ALPHA_EPS = 1e-10  # clamp for zero training error
 
@@ -217,27 +216,23 @@ def make_learner_factory(name: str):
 @dataclass
 class BoostConfig:
     t_max: int
-    k: int = 0
-    learning_rate: float = 1.0
+    k: int = 0                   # majority rows removed / synthetics added per round
+    k_neighbors: int = 5         # SMOTE neighbourhood size
     rebalancer: str = "none"     # none | double_pruning | smote | random_under
-    pruning: PruningConfig | None = None
     fresh_pools: bool = False    # re-derive pools from the original train set each round
 
     def __post_init__(self):
-        for name in ("t_max", "k"):
+        for name in ("t_max", "k", "k_neighbors"):
             if not _integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
-        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be finite and positive, "
-                             f"got {self.learning_rate!r}")
+        if self.k_neighbors < 1:
+            raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if self.rebalancer not in ("none", "double_pruning", "smote", "random_under"):
             raise ValueError(f"unknown rebalancer {self.rebalancer!r}")
-        if self.rebalancer == "double_pruning" and self.pruning is None:
-            self.pruning = PruningConfig(k=self.k)
 
 
 @dataclass
@@ -316,15 +311,14 @@ def _rebalance(train: Dataset, maj_idx, min_idx, syn_X, cfg: BoostConfig,
         return maj_idx, syn_X
     if cfg.rebalancer == "smote":
         if cfg.k >= 1:
-            k_nb = cfg.pruning.k_neighbors if cfg.pruning else 5
-            points = smote_interpolate(minority.X, cfg.k, k_nb, rng)[0]
+            points = smote_interpolate(minority.X, cfg.k, cfg.k_neighbors, rng)[0]
             syn_X = np.vstack([syn_X, points])
             audit["added"] = cfg.k
     else:  # double_pruning
         k_eff = min(cfg.k, len(maj_idx) - 1)
         if k_eff >= 1:
-            keep, rows = double_pruning(train.subset(maj_idx), minority,
-                                        replace(cfg.pruning, k=k_eff), rng, stats=audit)
+            keep, rows = double_pruning(train.subset(maj_idx), minority, k_eff,
+                                        cfg.k_neighbors, rng, stats=audit)
             maj_idx = maj_idx[keep]
             syn_X = np.vstack([syn_X, rows])
     return maj_idx, syn_X
@@ -391,7 +385,7 @@ def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSo
         if learner is None:
             break  # two consecutive failed attempts: stop with the ensemble so far
         err_c = max(err, _ALPHA_EPS)
-        alpha = cfg.learning_rate * 0.5 * math.log((1.0 - err_c) / err_c)
+        alpha = 0.5 * math.log((1.0 - err_c) / err_c)
 
         w = w * np.exp(-alpha * train.y * pred)
         w = w / w.sum()

@@ -18,7 +18,6 @@ from .boosting import BoostConfig, fit_boosted, heuristic_tmax, make_learner_fac
 from .data import (Dataset, NEGATIVE, POSITIVE, RandomSource, SplitSpec, _integer, mix_seed,
                    partition_by_class, split_indices)
 from .metrics import binary_metrics, confusion, replication_stats, roc_auc
-from .pruning import PruningConfig
 from . import samplers
 
 DATA_LEVEL_METHODS = ("none", "smote", "borderline_smote", "adasyn", "tomek_links",
@@ -103,8 +102,8 @@ def _boost_config(train: Dataset, cfg: ExperimentConfig) -> BoostConfig:
     return BoostConfig(
         t_max=t_max,
         k=k,
+        k_neighbors=cfg.k_neighbors,
         rebalancer=_REBALANCER_FOR[cfg.method],
-        pruning=PruningConfig(k=k, k_neighbors=cfg.k_neighbors),
         fresh_pools=cfg.fresh_pools,
     )
 

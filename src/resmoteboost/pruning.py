@@ -20,7 +20,6 @@ given RandomSource.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,43 +29,15 @@ from .entropy import entropy_batch, fit_gnb, posterior_batch
 
 _BLOCK = 1 << 14            # distance-matrix entries computed at a time
 _DISTANCE_BLOCK = 1 << 16   # the same, for the nearest distance alone
-
-
-@dataclass(frozen=True)
-class PruningConfig:
-    k: int                              # majority removals / synthetics retained per call
-    k_neighbors: int = 5
-    candidate_multiplier: float = 2.0   # accepted candidates gathered before noise filtering
-    spin_cap: int | None = None         # default 50 * k
-    epsilon: float = 1e-12              # guard for zero roulette distances
-
-    def __post_init__(self):
-        for name in ("k", "k_neighbors", "spin_cap"):
-            value = getattr(self, name)
-            if not _integer(value) and not (name == "spin_cap" and value is None):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
-        if not math.isfinite(self.candidate_multiplier) or self.candidate_multiplier < 1.0:
-            raise ValueError(f"candidate_multiplier must be finite and >= 1, "
-                             f"got {self.candidate_multiplier!r}")
-        if not math.isfinite(self.epsilon) or self.epsilon <= 0:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
-        if self.spin_cap is not None and self.spin_cap < self.k:
-            raise ValueError("spin_cap must be >= k")
-
-    @property
-    def effective_spin_cap(self) -> int:
-        return 50 * max(self.k, 1) if self.spin_cap is None else self.spin_cap
+_CANDIDATES_PER_SYNTHETIC = 2   # accepted candidates gathered per retained synthetic
+_SPINS_PER_SYNTHETIC = 50       # roulette spin cap per retained synthetic
+_MIN_DISTANCE = 1e-12           # guard for zero roulette distances
 
 
 @dataclass(frozen=True)
 class RouletteWheel:
-    seed_indices: np.ndarray   # minority indices, in minority order
-    distances: np.ndarray      # summed L1 distance to the majority class
-    fitness: np.ndarray        # 1 / max(distance, epsilon)
+    distances: np.ndarray      # summed L1 distance to the majority class, per minority row
+    fitness: np.ndarray        # 1 / max(distance, _MIN_DISTANCE)
     probabilities: np.ndarray
     cumulative: np.ndarray     # non-decreasing, last element ~ 1
 
@@ -91,7 +62,7 @@ def majority_class_pruning(majority: Dataset, model, k: int) -> np.ndarray:
     return np.sort(order[k:])
 
 
-def build_roulette(minority: Dataset, majority: Dataset, epsilon: float = 1e-12) -> RouletteWheel:
+def build_roulette(minority: Dataset, majority: Dataset) -> RouletteWheel:
     """Fitness-proportionate wheel over minority samples.
 
     Fitness is the reciprocal of the summed Manhattan distance to all
@@ -127,19 +98,14 @@ def build_roulette(minority: Dataset, majority: Dataset, epsilon: float = 1e-12)
     if not np.all(np.isfinite(M)):
         raise ValueError("the summed L1 distances from the minority to the majority "
                          "rows overflowed; rescale the features")
-    fitness = 1.0 / np.maximum(M, epsilon)
+    fitness = 1.0 / np.maximum(M, _MIN_DISTANCE)
     probabilities = fitness / fitness.sum()
     # the running sum can round above 1 before the top bucket: clip, then
     # kill the round-off at the top bucket
     cumulative = np.minimum(np.cumsum(probabilities), 1.0)
     cumulative[-1] = 1.0
-    return RouletteWheel(
-        seed_indices=np.arange(len(minority)),
-        distances=M,
-        fitness=fitness,
-        probabilities=probabilities,
-        cumulative=cumulative,
-    )
+    return RouletteWheel(distances=M, fitness=fitness, probabilities=probabilities,
+                         cumulative=cumulative)
 
 
 def spin(wheel: RouletteWheel, n_draws: int, rng: RandomSource) -> np.ndarray:
@@ -152,7 +118,7 @@ def spin(wheel: RouletteWheel, n_draws: int, rng: RandomSource) -> np.ndarray:
 def _select(wheel: RouletteWheel, r):
     """The seed indices the uniforms r select on `wheel`."""
     idx = np.searchsorted(wheel.cumulative, r, side="right")
-    return wheel.seed_indices[np.minimum(idx, len(wheel.seed_indices) - 1)]
+    return np.minimum(idx, len(wheel.cumulative) - 1)
 
 
 def nearest_rows(Q, P, k: int, exclude=None) -> np.ndarray:
@@ -409,6 +375,8 @@ def smote_interpolate(X, n: int, k_neighbors: int, rng: RandomSource, seeds=None
     """
     if not _integer(n) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n!r}")
+    if not _integer(k_neighbors) or k_neighbors < 1:
+        raise ValueError(f"k_neighbors must be an integer >= 1, got {k_neighbors!r}")
     if len(X) < 2:
         raise ValueError("need at least 2 minority samples to interpolate")
     n_slots = min(k_neighbors, len(X) - 1)
@@ -455,20 +423,23 @@ def noise_filter(candidates, model, k: int):
     return np.argsort(-ent, kind="stable")[: min(k, len(ent))], ent
 
 
-def minority_class_pruning(majority: Dataset, minority: Dataset, cfg: PruningConfig, model,
-                           rng: RandomSource, stats: dict | None = None):
-    """The rows of up to cfg.k filtered synthetic minority samples, in
+def minority_class_pruning(majority: Dataset, minority: Dataset, k: int, k_neighbors: int,
+                           model, rng: RandomSource, stats: dict | None = None):
+    """The rows of up to k filtered synthetic minority samples, in
     descending entropy order.
 
-    Accepted candidates are gathered (up to ceil(candidate_multiplier * k),
-    bounded by spin_cap roulette spins), then the entropy noise filter keeps
-    the top k under `model`. If the acceptance region is tiny fewer than k
-    rows come back. `stats` receives the counts and, when some are
-    retained, one provenance record per row ("synthetics").
+    Accepted candidates are gathered (up to 2k, bounded by 50 max(k, 1)
+    roulette spins), each a SMOTE step toward one of the seed's k_neighbors
+    nearest minority rows, then the entropy noise filter keeps the top k
+    under `model`. If the acceptance region is tiny fewer than k rows come
+    back. `stats` receives the counts and, when some are retained, one
+    provenance record per row ("synthetics").
     """
-    wheel = build_roulette(minority, majority, cfg.epsilon)
-    target = math.ceil(cfg.candidate_multiplier * cfg.k)
-    cap = cfg.effective_spin_cap
+    if not _integer(k) or k < 0:
+        raise ValueError(f"k must be an integer >= 0, got {k!r}")
+    wheel = build_roulette(minority, majority)
+    target = _CANDIDATES_PER_SYNTHETIC * k
+    cap = _SPINS_PER_SYNTHETIC * max(k, 1)
     X = minority.X
     chunks = []   # per chunk, the accepted rows of its candidate arrays
     accepted = spins = 0
@@ -477,7 +448,7 @@ def minority_class_pruning(majority: Dataset, minority: Dataset, cfg: PruningCon
         # would make every spin of this chunk too.
         n = min(target - accepted, cap - spins)
         spins += n
-        C, seeds, nb, alphas = smote_interpolate(X, n, cfg.k_neighbors, rng,
+        C, seeds, nb, alphas = smote_interpolate(X, n, k_neighbors, rng,
                                                   lambda r: _select(wheel, r))
         dist_min, dist_maj, ok = regularization_accept(C, majority.X, X[seeds])
         chunks.append([a[ok] for a in (C, seeds, nb, alphas, dist_min, dist_maj)])
@@ -485,7 +456,7 @@ def minority_class_pruning(majority: Dataset, minority: Dataset, cfg: PruningCon
     rows, records = np.empty((0, X.shape[1])), []
     if accepted:
         C, seeds, nb, alphas, dist_min, dist_maj = (np.concatenate(a) for a in zip(*chunks))
-        order, ent = noise_filter(C, model, cfg.k)
+        order, ent = noise_filter(C, model, k)
         rows = C[order]
         records = [{"x": C[i].tolist(), "seed_index": int(seeds[i]),
                     "neighbor_index": int(nb[i]), "alpha": float(alphas[i]),
@@ -507,16 +478,17 @@ def _with_synthetics(minority: Dataset, rows) -> Dataset:
     return minority.concat(syn)
 
 
-def double_pruning(majority: Dataset, minority: Dataset, cfg: PruningConfig,
+def double_pruning(majority: Dataset, minority: Dataset, k: int, k_neighbors: int,
                    rng: RandomSource, stats: dict | None = None):
-    """One balancing step. A single naive Bayes model, fit on
+    """One balancing step of size k. A single naive Bayes model, fit on
     majority ∪ minority, scores both the majority rows and the candidates.
 
     Returns (keep, rows): majority_class_pruning's kept positions (all but
-    the cfg.k lowest-entropy rows) and minority_class_pruning's synthetic
-    rows (at most cfg.k). With k = 0 the candidate target is 0, so nothing
-    is removed or added. Inputs are never mutated.
+    the k lowest-entropy rows) and minority_class_pruning's synthetic rows
+    (at most k, interpolated over k_neighbors nearest minority rows). With
+    k = 0 the candidate target is 0, so nothing is removed or added. Inputs
+    are never mutated.
     """
     model = fit_gnb(majority.concat(minority))
-    keep = majority_class_pruning(majority, model, cfg.k)
-    return keep, minority_class_pruning(majority, minority, cfg, model, rng, stats)
+    keep = majority_class_pruning(majority, model, k)
+    return keep, minority_class_pruning(majority, minority, k, k_neighbors, model, rng, stats)

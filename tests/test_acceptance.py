@@ -20,7 +20,6 @@ from resmoteboost import (
     ExperimentConfig,
     NEGATIVE,
     POSITIVE,
-    PruningConfig,
     RandomSource,
     binary_metrics,
     build_roulette,
@@ -90,8 +89,7 @@ def test_criterion_3_randomized_pruning_properties():
         # (b) every retained synthetic obeys the regularization inequality and
         #     lies on a seed->neighbor segment (collinearity residual <= 1e-9)
         stats: dict = {}
-        cfg = PruningConfig(k=k, k_neighbors=3)
-        grown_minority(part.majority, part.minority, cfg,
+        grown_minority(part.majority, part.minority, k, 3,
                        RandomSource(trial), stats=stats)
         for syn in stats.get("synthetics", []):
             assert syn["dist_min"] <= syn["dist_maj"] + 1e-12
@@ -109,8 +107,7 @@ def test_criterion_4_balance_law():
     # worked class sizes: one k=90 step takes 366 -> 276 and 193 -> 283
     data = make_gaussian_blobs(366, 193, 2, 12.0, 5)
     part = partition_by_class(data)
-    cfg = PruningConfig(k=90)
-    maj, mino = pruned_classes(part.majority, part.minority, cfg, RandomSource(0))
+    maj, mino = pruned_classes(part.majority, part.minority, 90, 5, RandomSource(0))
     assert len(maj) == 276
     assert len(mino) == 283
 
@@ -121,7 +118,7 @@ def test_criterion_4_balance_law():
     maj, mino = part.majority, part.minority
     rng = RandomSource(3)
     for _ in range(heuristic_tmax(200, 60, k)):
-        maj, mino = pruned_classes(maj, mino, PruningConfig(k=k), rng)
+        maj, mino = pruned_classes(maj, mino, k, 5, rng)
     assert -2 * k < len(maj) - len(mino) < 2 * k
     assert time.monotonic() - start < 10.0
 

@@ -11,7 +11,6 @@ from resmoteboost import (
     DecisionStump,
     NEGATIVE,
     POSITIVE,
-    PruningConfig,
     RandomSource,
     fit_boosted,
     fit_stump,
@@ -19,6 +18,7 @@ from resmoteboost import (
     make_gaussian_blobs,
     make_learner_factory,
 )
+from resmoteboost import boosting, pruning
 from resmoteboost.boosting import GaussianNBLearner, KNNLearner, fit_stump_params
 
 
@@ -271,8 +271,7 @@ class TestNamedConfigurations:
     @pytest.mark.parametrize("rebalancer", ["none", "double_pruning", "smote", "random_under"])
     def test_all_rebalancers_train(self, rebalancer):
         data = make_gaussian_blobs(60, 20, 2, 2.0, 8)
-        cfg = BoostConfig(t_max=4, k=5, rebalancer=rebalancer,
-                          pruning=PruningConfig(k=5))
+        cfg = BoostConfig(t_max=4, k=5, rebalancer=rebalancer)
         ens = fit_boosted(data, cfg, DecisionStump, RandomSource(3))
         assert len(ens.learners) >= 1
         acc = np.mean(ens.predict(data.X) == data.y)
@@ -292,6 +291,22 @@ class TestNamedConfigurations:
         sizes = [e["n_minority"] for e in ens.training_log]
         assert sizes == [25, 30, 35]
 
+    @pytest.mark.parametrize("rebalancer", ["smote", "double_pruning"])
+    def test_k_neighbors_reaches_smote_interpolate(self, rebalancer, monkeypatch):
+        seen = []
+        original = pruning.smote_interpolate
+
+        def recorded(X, n, k_neighbors, rng, seeds=None):
+            seen.append(k_neighbors)
+            return original(X, n, k_neighbors, rng, seeds)
+
+        monkeypatch.setattr(boosting, "smote_interpolate", recorded)
+        monkeypatch.setattr(pruning, "smote_interpolate", recorded)
+        data = make_gaussian_blobs(60, 20, 2, 2.0, 8)
+        cfg = BoostConfig(t_max=3, k=5, k_neighbors=3, rebalancer=rebalancer)
+        fit_boosted(data, cfg, DecisionStump, RandomSource(3))
+        assert len(seen) >= 3 and set(seen) == {3}
+
     def test_fresh_pools_do_not_accumulate(self):
         data = make_gaussian_blobs(60, 20, 2, 6.0, 8)
         cfg = BoostConfig(t_max=3, k=5, rebalancer="double_pruning", fresh_pools=True)
@@ -306,15 +321,18 @@ class TestBoostConfigValidation:
         ({"t_max": True}, "t_max must be an integer"),
         ({"t_max": 3, "k": 2.5}, "k must be an integer"),
         ({"t_max": 3, "k": -2, "rebalancer": "smote"}, "k must be >= 0"),
-        ({"t_max": 3, "learning_rate": -1.0}, "learning_rate must be finite and positive"),
-        ({"t_max": 3, "learning_rate": 0.0}, "learning_rate must be finite and positive"),
-        ({"t_max": 3, "learning_rate": float("nan")}, "learning_rate must be finite"),
-        ({"t_max": 3, "learning_rate": float("inf")}, "learning_rate must be finite"),
+        ({"t_max": 3, "k_neighbors": 2.5}, "k_neighbors must be an integer"),
+        ({"t_max": 3, "k_neighbors": False}, "k_neighbors must be an integer"),
+        ({"t_max": 3, "k_neighbors": 0}, "k_neighbors must be >= 1"),
+        ({"t_max": 3, "k_neighbors": -2, "rebalancer": "smote"}, "k_neighbors must be >= 1"),
     ])
     def test_rejected_at_construction(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             BoostConfig(**kwargs)
 
     def test_numpy_integers_accepted(self):
-        cfg = BoostConfig(t_max=np.int64(3), k=np.int32(2), rebalancer="double_pruning")
-        assert cfg.pruning.k == 2
+        cfg = BoostConfig(t_max=np.int64(3), k=np.int32(2), k_neighbors=np.int64(4),
+                          rebalancer="double_pruning")
+        ens = fit_boosted(make_gaussian_blobs(30, 10, 2, 6.0, 1), cfg, DecisionStump,
+                          RandomSource(0))
+        assert [e["n_majority"] for e in ens.training_log] == [28, 26, 24]

@@ -1,8 +1,10 @@
 """The demos print exactly the text recorded here.
 
-Each demo runs in a fresh interpreter on the package in src/; its stdout
-must match byte for byte, so a change that moves any printed figure shows
-here.
+Each demo runs in a fresh interpreter on the package in src/, three ways:
+plainly, in development mode with every warning an error, and the same
+with scipy blocked, since the package needs only numpy. Its stdout must
+match byte for byte each time, so a change that moves any printed figure
+shows here.
 """
 
 import os
@@ -43,11 +45,18 @@ ratios B: [5.931e-01 1.000e-04 2.500e-03 2.100e-03]
 }
 
 
-@pytest.mark.parametrize("demo", sorted(EXPECTED))
-def test_demo_stdout(demo):
+STRICT = ["-X", "dev", "-W", "error"]
+WITHOUT_SCIPY = ["-c", "import sys, runpy; sys.modules['scipy'] = None; "
+                       "runpy.run_path(sys.argv[1], run_name='__main__')"]
+MODES = {"": [], "-dev": STRICT, "-dev-no-scipy": STRICT + WITHOUT_SCIPY}
+
+
+@pytest.mark.parametrize("demo, mode", [pytest.param(demo, mode, id=demo + mode)
+                                        for demo in sorted(EXPECTED) for mode in MODES])
+def test_demo_stdout(demo, mode):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
-                            capture_output=True, text=True, timeout=120, check=True)
+    result = subprocess.run([sys.executable, *MODES[mode], str(ROOT / "demos" / demo)],
+                            env=env, capture_output=True, text=True, timeout=120, check=True)
     assert result.stdout == EXPECTED[demo]
 
 

@@ -8,15 +8,13 @@ same random-number state afterwards. The oracles below keep the old code, so
 they share no helper with the code under test.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from resmoteboost import (ClassPartition, Dataset, KNNLearner, NEGATIVE, POSITIVE,
-                          PruningConfig, RandomSource, build_roulette, fit_gnb,
+                          RandomSource, build_roulette, fit_gnb,
                           make_gaussian_blobs, regularization_accept, smote_interpolate, spin,
                           tomek_links)
 from resmoteboost.entropy import entropy_batch, posterior_batch
@@ -189,23 +187,23 @@ def old_entropy_filter(model, candidates, k):
     return [candidates[i] for i in np.argsort(-ent, kind="stable")[:k]]
 
 
-def oversample_oracle(majority, minority, cfg, model, rng, stats):
-    """One spin, one candidate and one acceptance test at a time."""
-    wheel = build_roulette(minority, majority, cfg.epsilon)
-    target = math.ceil(cfg.candidate_multiplier * cfg.k)
+def oversample_oracle(majority, minority, k, k_neighbors, model, rng, stats):
+    """One spin, one candidate and one acceptance test at a time, gathering
+    up to 2k accepted candidates in at most 50 max(k, 1) spins."""
+    wheel = build_roulette(minority, majority)
     accepted = []
     spins = 0
-    while len(accepted) < target and spins < cfg.effective_spin_cap:
+    while len(accepted) < 2 * k and spins < 50 * max(k, 1):
         seed_index = int(spin(wheel, 1, rng)[0])
         spins += 1
         seed = minority.X[seed_index]
         x, neighbor_index, alpha = old_smote_interpolate(seed, minority, seed_index,
-                                                         cfg.k_neighbors, rng)
+                                                         k_neighbors, rng)
         dist_min, dist_maj, ok = old_regularization_accept(x, seed, majority.X)
         if ok:
             accepted.append({"x": x, "seed_index": seed_index, "neighbor_index": neighbor_index,
                              "alpha": alpha, "dist_min": dist_min, "dist_maj": dist_maj})
-    retained = old_entropy_filter(model, accepted, cfg.k) if accepted else []
+    retained = old_entropy_filter(model, accepted, k) if accepted else []
     stats.update(spins=spins, accepted=len(accepted), retained=len(retained))
     if retained:
         stats["synthetics"] = [dict(c, x=[float(v) for v in c["x"]]) for c in retained]
@@ -313,15 +311,15 @@ def pools(kind: str, n_maj: int, n_min: int, d: int, seed: int):
     return (Dataset(X_maj, np.full(n_maj, NEGATIVE)), Dataset(X_min, np.full(n_min, POSITIVE)))
 
 
-def assert_matches_oracle(majority, minority, cfg, seed):
+def assert_matches_oracle(majority, minority, k, k_neighbors, seed):
     """minority_class_pruning against oversample_oracle: the same rows bit for
     bit, the same stats (provenance records included) and the same generator
     state. Returns the stats."""
     model = fit_gnb(majority.concat(minority))
     rng_new, rng_old = RandomSource(seed), RandomSource(seed)
     stats_new, stats_old = {}, {}
-    rows = minority_class_pruning(majority, minority, cfg, model, rng_new, stats_new)
-    old = oversample_oracle(majority, minority, cfg, model, rng_old, stats_old)
+    rows = minority_class_pruning(majority, minority, k, k_neighbors, model, rng_new, stats_new)
+    old = oversample_oracle(majority, minority, k, k_neighbors, model, rng_old, stats_old)
     assert stats_new == stats_old
     expected = np.array(old).reshape(len(old), minority.dimension)
     assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
@@ -333,20 +331,24 @@ class TestOversampleOracle:
     @settings(max_examples=120, deadline=None)
     @given(kind=st.sampled_from(("overlap", "apart", "grid")), n_maj=st.integers(3, 60),
            n_min=st.integers(2, 25), d=st.integers(1, 4), k=st.integers(0, 12),
-           k_neighbors=st.integers(1, 7), multiplier=st.sampled_from((1.0, 1.5, 2.0, 3.0)),
-           cap_extra=st.sampled_from((None, 0, 1, 5)), seed=st.integers(0, 2**32 - 1))
-    def test_matches_one_at_a_time_loop(self, kind, n_maj, n_min, d, k, k_neighbors,
-                                        multiplier, cap_extra, seed):
+           k_neighbors=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    def test_matches_one_at_a_time_loop(self, kind, n_maj, n_min, d, k, k_neighbors, seed):
         majority, minority = pools(kind, n_maj, n_min, d, seed)
-        # a spin cap of k (+ a little) stops most overlapping runs at the cap
-        cfg = PruningConfig(k=k, k_neighbors=k_neighbors, candidate_multiplier=multiplier,
-                            spin_cap=None if cap_extra is None else k + cap_extra)
-        assert_matches_oracle(majority, minority, cfg, seed)
+        assert_matches_oracle(majority, minority, k, k_neighbors, seed)
 
     def test_spin_cap_stops_the_loop(self):
-        majority, minority = pools("overlap", 60, 10, 2, 1)
-        stats = assert_matches_oracle(majority, minority, PruningConfig(k=20, spin_cap=20), 4)
-        assert stats["spins"] == 20 and stats["accepted"] < 40
+        # Two minority rows, each the other's only neighbour, and a majority
+        # row on each seed-to-neighbour segment at 2% of its length: a
+        # candidate is accepted only when alpha <= 0.01. The distant majority
+        # rows make k < n_maj without moving any candidate's nearest one.
+        X_min = np.array([[0.0, 0.0], [1.0, 0.0]])
+        X_maj = np.vstack([[[0.02, 0.0], [0.98, 0.0]],
+                           100.0 * np.array([[0, 1], [1, 1], [1, 0], [0, -1], [-1, -1], [-1, 0]])])
+        minority = Dataset(X_min, np.full(2, POSITIVE))
+        majority = Dataset(X_maj, np.full(len(X_maj), NEGATIVE))
+        k = 4
+        stats = assert_matches_oracle(majority, minority, k, 5, 0)
+        assert stats["spins"] == 50 * k and 0 < stats["accepted"] < 2 * k
 
 
 def old_knn_score(learner, X):

@@ -10,7 +10,6 @@ from resmoteboost import (
     ExperimentConfig,
     NEGATIVE,
     POSITIVE,
-    PruningConfig,
     RandomSource,
     build_roulette,
     double_pruning,
@@ -22,6 +21,7 @@ from resmoteboost import (
     partition_by_class,
     regularization_accept,
     run_experiment,
+    smote,
     smote_interpolate,
     spin,
 )
@@ -44,16 +44,17 @@ def pruned_majority(majority, pool, k):
     return majority.subset(majority_class_pruning(majority, fit_gnb(pool), k))
 
 
-def grown_minority(majority, minority, cfg, rng, stats=None):
+def grown_minority(majority, minority, k, k_neighbors, rng, stats=None):
     """The minority grown by minority_class_pruning's rows, under the model
     double_pruning fits."""
     model = fit_gnb(majority.concat(minority))
-    return with_rows(minority, minority_class_pruning(majority, minority, cfg, model, rng, stats))
+    return with_rows(minority, minority_class_pruning(majority, minority, k, k_neighbors,
+                                                      model, rng, stats))
 
 
-def pruned_classes(majority, minority, cfg, rng, stats=None):
+def pruned_classes(majority, minority, k, k_neighbors, rng, stats=None):
     """double_pruning's (keep, rows) as the new (majority, minority) Datasets."""
-    keep, rows = double_pruning(majority, minority, cfg, rng, stats)
+    keep, rows = double_pruning(majority, minority, k, k_neighbors, rng, stats)
     return majority.subset(keep), with_rows(minority, rows)
 
 
@@ -123,7 +124,7 @@ class TestRoulette:
     def test_coincident_point_is_capped(self):
         minority = Dataset(np.array([[1.0]]), np.array([POSITIVE]))
         majority = Dataset(np.array([[1.0]]), np.array([NEGATIVE]))
-        wheel = build_roulette(minority, majority, epsilon=1e-12)
+        wheel = build_roulette(minority, majority)
         assert np.isfinite(wheel.fitness[0])
         assert wheel.fitness[0] == pytest.approx(1e12)
 
@@ -194,11 +195,20 @@ class TestInterpolate:
         with pytest.raises(ValueError):
             smote_interpolate(np.array([[0.0]]), 1, 5, RandomSource(0), [0])
 
-    @pytest.mark.parametrize("n", [-3, -1, 2.5, True])
-    def test_bad_count_errors_naming_it(self, n):
+    @pytest.mark.parametrize("bad", [
+        {"n": -3}, {"n": -1}, {"n": 2.5}, {"n": True},
+        {"k_neighbors": 0}, {"k_neighbors": -3}, {"k_neighbors": 2.5}, {"k_neighbors": True},
+    ], ids=lambda bad: repr(bad["n"]) if "n" in bad else f"k_neighbors={bad['k_neighbors']!r}")
+    def test_bad_count_errors_naming_it(self, bad):
+        (name, value), = bad.items()
+        args = dict({"n": 5, "k_neighbors": 5}, **bad)
+        message = rf"{name} must be an integer >= {0 if name == 'n' else 1}, got {value!r}"
         X = np.random.default_rng(0).normal(size=(6, 2))
-        with pytest.raises(ValueError, match=rf"n must be an integer >= 0, got {n!r}"):
-            smote_interpolate(X, n, 5, RandomSource(0))
+        with pytest.raises(ValueError, match=message):
+            smote_interpolate(X, args["n"], args["k_neighbors"], RandomSource(0))
+        if name == "k_neighbors":   # the data-level sampler passes it through
+            with pytest.raises(ValueError, match=message):
+                smote(blob_partition(), 5, value, RandomSource(0))
 
 
 class TestRegularizationAccept:
@@ -257,25 +267,22 @@ class TestNoiseFilter:
 class TestMinorityPruning:
     def test_k_zero_identity(self):
         part = blob_partition()
-        out = grown_minority(part.majority, part.minority,
-                             PruningConfig(k=0), RandomSource(0))
+        out = grown_minority(part.majority, part.minority, 0, 5, RandomSource(0))
         np.testing.assert_array_equal(out.X, part.minority.X)
 
     def test_full_acceptance_on_separated_blobs(self):
         for seed in range(20):
             part = blob_partition(sep=8.0, seed=seed)
-            cfg = PruningConfig(k=5)
             stats = {}
-            out = grown_minority(part.majority, part.minority, cfg,
+            out = grown_minority(part.majority, part.minority, 5, 5,
                                  RandomSource(seed), stats=stats)
             assert len(out) == len(part.minority) + 5
             assert stats["accepted"] == stats["spins"]  # acceptance rate 1
 
     def test_synthetics_verify_post_hoc(self):
         part = blob_partition(sep=3.0, seed=9)
-        cfg = PruningConfig(k=6)
         stats = {}
-        out = grown_minority(part.majority, part.minority, cfg,
+        out = grown_minority(part.majority, part.minority, 6, 5,
                              RandomSource(11), stats=stats)
         for record in stats["synthetics"]:
             x = np.array(record["x"])
@@ -292,26 +299,25 @@ class TestDoublePruning:
     def test_exact_size_arithmetic(self):
         data = make_gaussian_blobs(366, 193, 2, 12.0, 0)
         part = partition_by_class(data)
-        new_maj, new_min = pruned_classes(part.majority, part.minority,
-                                          PruningConfig(k=90), RandomSource(1))
+        new_maj, new_min = pruned_classes(part.majority, part.minority, 90, 5,
+                                          RandomSource(1))
         assert len(new_maj) == 276
         assert len(new_min) == 283
 
     def test_small_partition_arithmetic(self):
         data = make_gaussian_blobs(3, 2, 2, 10.0, 5)
         part = partition_by_class(data)
-        new_maj, new_min = pruned_classes(part.majority, part.minority,
-                                          PruningConfig(k=1), RandomSource(0))
+        new_maj, new_min = pruned_classes(part.majority, part.minority, 1, 5,
+                                          RandomSource(0))
         assert len(new_maj) == 2
         assert len(new_min) in (2, 3)
 
     def test_inputs_not_mutated_and_deterministic(self):
         part = blob_partition(sep=4.0, seed=6)
         maj_before = part.majority.X.copy()
-        cfg = PruningConfig(k=4)
-        a = pruned_classes(part.majority, part.minority, cfg, RandomSource(42))
+        a = pruned_classes(part.majority, part.minority, 4, 5, RandomSource(42))
         np.testing.assert_array_equal(part.majority.X, maj_before)
-        b = pruned_classes(part.majority, part.minority, cfg, RandomSource(42))
+        b = pruned_classes(part.majority, part.minority, 4, 5, RandomSource(42))
         np.testing.assert_array_equal(a[0].X, b[0].X)
         np.testing.assert_array_equal(a[1].X, b[1].X)
 
@@ -323,7 +329,7 @@ class TestDoublePruning:
         rng = RandomSource(3)
         for _ in range(3):
             gap_before = len(maj) - len(mino)
-            maj, mino = pruned_classes(maj, mino, PruningConfig(k=k), rng)
+            maj, mino = pruned_classes(maj, mino, k, 5, rng)
             assert (len(maj) - len(mino)) == gap_before - 2 * k
 
 
@@ -375,35 +381,36 @@ class TestDuplicateRows:
     @given(pools=duplicated_majority(), seed=st.integers(0, 2**32))
     def test_kept_positions_under_duplicates(self, pools, seed):
         majority, minority, k = pools
-        cfg = PruningConfig(k=k)
-        keep, _ = double_pruning(majority, minority, cfg, RandomSource(seed))
+        keep, _ = double_pruning(majority, minority, k, 5, RandomSource(seed))
         # the removed rows are the k smallest by (entropy, position)
         ent = entropy_batch(posterior_batch(fit_gnb(majority.concat(minority)), majority.X))
         removed = np.lexsort((np.arange(len(majority)), ent))[:k]
         np.testing.assert_array_equal(keep, np.setdiff1d(np.arange(len(majority)), removed))
-        new_majority, _ = pruned_classes(majority, minority, cfg, RandomSource(seed))
+        new_majority, _ = pruned_classes(majority, minority, k, 5, RandomSource(seed))
         np.testing.assert_array_equal(new_majority.X, majority.subset(keep).X)
 
 
-class TestConfigValidation:
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"k": 2.5}, "k must be an integer"),
-        ({"k": True}, "k must be an integer"),
-        ({"k": -1}, "k must be >= 0"),
-        ({"k": 3, "k_neighbors": 2.5}, "k_neighbors must be an integer"),
-        ({"k": 3, "k_neighbors": False}, "k_neighbors must be an integer"),
-        ({"k": 3, "spin_cap": 10.5}, "spin_cap must be an integer"),
-        ({"k": 3, "spin_cap": True}, "spin_cap must be an integer"),
-        ({"k": 3, "candidate_multiplier": float("nan")}, "candidate_multiplier must be finite"),
-        ({"k": 3, "candidate_multiplier": float("inf")}, "candidate_multiplier must be finite"),
-        ({"k": 3, "epsilon": float("nan")}, "epsilon must be finite"),
-        ({"k": 3, "epsilon": float("inf")}, "epsilon must be finite"),
-        ({"k": 3, "epsilon": 0.0}, "epsilon must be finite and positive"),
-    ])
-    def test_rejected_at_construction(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            PruningConfig(**kwargs)
+class TestStepSizeValidation:
+    """k reaches the step as a plain argument: both halves reject a k that
+    is negative, non-integral or a bool, and take numpy integers."""
+
+    @pytest.mark.parametrize("k", [-1, 2.5, True])
+    def test_double_pruning_rejects_bad_k(self, k):
+        part = blob_partition()
+        with pytest.raises(ValueError, match=rf"k must be an integer >= 0.*, got {k!r}"):
+            double_pruning(part.majority, part.minority, k, 5, RandomSource(0))
+
+    @pytest.mark.parametrize("k", [-1, 2.5, True])
+    def test_minority_class_pruning_rejects_bad_k(self, k):
+        part = blob_partition()
+        with pytest.raises(ValueError, match=rf"k must be an integer >= 0, got {k!r}"):
+            grown_minority(part.majority, part.minority, k, 5, RandomSource(0))
 
     def test_numpy_integers_accepted(self):
-        cfg = PruningConfig(k=np.int64(3), k_neighbors=np.int32(2), spin_cap=np.int64(9))
-        assert cfg.effective_spin_cap == 9
+        part = blob_partition(sep=8.0)
+        a = pruned_classes(part.majority, part.minority, np.int64(3), np.int32(2),
+                           RandomSource(0))
+        b = pruned_classes(part.majority, part.minority, 3, 2, RandomSource(0))
+        assert len(a[0]) == len(part.majority) - 3
+        np.testing.assert_array_equal(a[0].X, b[0].X)
+        np.testing.assert_array_equal(a[1].X, b[1].X)

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from resmoteboost import (Dataset, ExperimentConfig, NEGATIVE, POSITIVE, PruningConfig,
-                          RandomSource, RouletteWheel, build_roulette, make_gaussian_blobs,
-                          run_experiment, spin)
+from resmoteboost import (Dataset, ExperimentConfig, NEGATIVE, POSITIVE, RandomSource,
+                          RouletteWheel, build_roulette, make_gaussian_blobs, run_experiment,
+                          spin)
 from resmoteboost.pruning import _select, minority_class_pruning, smote_interpolate
 
 from test_nearest import KINDS, assert_matches_oracle, make_rows, pools
@@ -149,7 +149,7 @@ class TestUncertifiedRounds:
         X_maj = np.zeros((8, 2))
         X_min = np.array([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0], [2.0, 2.0]])
         minority, majority = classes(X_min, X_maj)
-        assert_matches_oracle(majority, minority, PruningConfig(k=3, k_neighbors=2), 5)
+        assert_matches_oracle(majority, minority, 3, 2, 5)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tiny_scale_takes_exact_wheel(self, seed):
@@ -157,19 +157,18 @@ class TestUncertifiedRounds:
         majority, minority = pools("overlap", 40, 12, 3, seed)
         majority = Dataset(majority.X * 1e-150, majority.y)
         minority = Dataset(minority.X * 1e-150, minority.y)
-        assert_matches_oracle(majority, minority, PruningConfig(k=4), seed)
+        assert_matches_oracle(majority, minority, 4, 5, seed)
 
     def test_empty_class_raises_as_build_roulette(self):
         minority, majority = classes(np.ones((3, 2)), np.empty((0, 2)))
         with pytest.raises(ValueError, match="non-empty"):
-            minority_class_pruning(majority, minority, PruningConfig(k=1), None,
-                                   RandomSource(0), None)
+            minority_class_pruning(majority, minority, 1, 5, None, RandomSource(0), None)
 
 
 class TestWheelValidation:
     def _wheel(self, probabilities, cumulative):
-        return RouletteWheel(seed_indices=np.arange(2), distances=np.ones(2),
-                             fitness=np.ones(2), probabilities=np.asarray(probabilities),
+        return RouletteWheel(distances=np.ones(2), fitness=np.ones(2),
+                             probabilities=np.asarray(probabilities),
                              cumulative=np.asarray(cumulative))
 
     def test_valid_wheel_accepted(self):
