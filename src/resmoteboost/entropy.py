@@ -68,8 +68,13 @@ def fit_gnb(data: Dataset, weights=None, var_smoothing: float = 1e-9) -> Gaussia
             if w_sum <= 0:
                 raise ValueError("each class needs positive total weight")
             Xc = data.X[mask]
-            mu = (w[:, None] * Xc).sum(axis=0) / w_sum
-            var = (w[:, None] * (Xc - mu) ** 2).sum(axis=0) / w_sum
+            dev = w[:, None] * Xc
+            mu = dev.sum(axis=0) / w_sum
+            # the weighted squared deviations w (x - mu)^2, in place
+            np.subtract(Xc, mu, out=dev)
+            np.square(dev, out=dev)
+            dev *= w[:, None]
+            var = dev.sum(axis=0) / w_sum
             priors[row] = w_sum
             means[row] = mu
             variances[row] = var
@@ -88,9 +93,13 @@ def log_joint(model: GaussianNBModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.means.shape[1]:
         raise ValueError(f"dimension mismatch: model d={model.means.shape[1]}, x d={X.shape[1]}")
-    # sum over features of log N(x; mu, var) + log prior
-    diff = X[:, None, :] - model.means[None, :, :]          # (n, 2, d)
-    ll = -0.5 * (np.log(2.0 * np.pi * model.variances)[None] + diff ** 2 / model.variances[None])
+    # sum over features of log N(x; mu, var) + log prior, each term
+    # -0.5 * (log(2 pi var) + (x - mu)^2 / var), formed in one (n, 2, d) buffer
+    ll = np.subtract(X[:, None, :], model.means)
+    np.square(ll, out=ll)
+    ll /= model.variances
+    ll += np.log(2.0 * np.pi * model.variances)
+    ll *= -0.5
     return ll.sum(axis=2) + np.log(model.priors)[None]
 
 

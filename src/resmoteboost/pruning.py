@@ -78,23 +78,35 @@ def build_roulette(minority: Dataset, majority: Dataset) -> RouletteWheel:
     (8n + 4d + 32) 2^-53 W of scipy's cdist(X, Y, "cityblock").sum(axis=1),
     where W = n sum_j |a_j| + sum_ij |z_ij|. Sums that overflow raise
     ValueError.
+
+    The columns are sorted and summed as the rows of a (d, n) transpose, and
+    each column's minority values are searched in ascending order, which
+    lets each search start where the last one ended; a split p does not
+    depend on that order, and the column terms are added in column order,
+    so the wheel is the same bits. The cost is O((n log n + m log m) d) time
+    for m minority rows, and O((n + m) d) memory.
     """
     if len(minority) == 0 or len(majority) == 0:
         raise ValueError("both classes must be non-empty")
     n, d = majority.X.shape
-    Z = np.sort(majority.X, axis=0)
-    c = Z[n // 2].copy()
-    Z -= c                      # t -> fl(t - c) is monotone: columns stay sorted
-    A = minority.X - c
-    P = np.zeros((n + 1, d))
-    M = np.zeros(len(A))
+    Z = majority.X.T.copy()     # (d, n), C order: one row per column
+    Z.sort(axis=1)
+    c = Z[:, n // 2].copy()
+    Z -= c[:, None]             # t -> fl(t - c) is monotone: rows stay sorted
+    A = minority.X.T.copy()
+    A -= c[:, None]
+    order = np.argsort(A, axis=1)             # each row's keys searched in order
+    p = np.empty(A.shape, dtype=np.intp)
+    P = np.zeros((d, n + 1))
+    M = np.zeros(len(minority))
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        np.cumsum(Z, axis=0, out=P[1:])
+        np.cumsum(Z, axis=1, out=P[:, 1:])
         for j in range(d):
-            a = A[:, j]
-            p = np.searchsorted(Z[:, j], a, side="right")
-            H = P[p, j]
-            M += (p * a - H) + ((P[n, j] - H) - (n - p) * a)
+            p[j, order[j]] = np.searchsorted(Z[j], A[j, order[j]], side="right")
+        H = np.take_along_axis(P, p, axis=1)
+        T = (p * A - H) + ((P[:, n:] - H) - (n - p) * A)
+        for t in T:     # column by column, as the definition adds them; a sum
+            M += t      # over axis 0 of one minority row can pair them up
     if not np.all(np.isfinite(M)):
         raise ValueError("the summed L1 distances from the minority to the majority "
                          "rows overflowed; rescale the features")
@@ -136,16 +148,20 @@ def _screen_bound(kth, sq_p, sq_q_max):
     smallest in each row is kth: every row q of the exact top k has
     s <= bound, except in the rows marked full, which need the full scan.
 
-    A screened value differs from the exact |q|^2 - 2 p.q, and the square of
-    the distance np.linalg.norm returns from the exact |p - q|^2, each by at
-    most about (2d + 7) * 2^-53 * (|p|^2 + |q|^2), plus a few multiples of d
-    subnormal units (2^-1074) where squares underflow. Within a row the two
-    differ by the constant |p|^2, so every row of the exact top k screens at
-    most twice that above the k-th screened value, which the slack below
-    exceeds for any d up to about 10^6. Where |p|^2, some |q|^2, the bound
-    or the bound plus |p|^2 (about the k-th squared distance) is not finite,
-    the row takes the full exact scan: squares overflow near 1e154. Call it
-    with overflow and invalid-value warnings off.
+    A screened value, whether the product's d terms get |q|^2 added after
+    (_nearest) or take it as a (d + 1)-th term (_nearest_distance), differs
+    from the exact |q|^2 - 2 p.q by at most about (3d + 2) * 2^-53 *
+    (|p|^2 + |q|^2); the square of the distance np.linalg.norm returns
+    differs from the exact |p - q|^2 by at most about (2d + 8) * 2^-53 *
+    (|p|^2 + |q|^2); each gains a few multiples of d subnormal units
+    (2^-1074) where squares underflow. Within a row the two differ by the
+    constant |p|^2, so every row of the exact top k screens at most twice
+    their sum, (10d + 20) * 2^-53 * (|p|^2 + max |q|^2), above the k-th
+    screened value, which the slack below exceeds for any d up to about
+    9 * 10^5. Where |p|^2, some |q|^2, the bound or the bound plus |p|^2
+    (about the k-th squared distance) is not finite, the row takes the full
+    exact scan: squares overflow near 1e154. Call it with overflow and
+    invalid-value warnings off.
     """
     bound = kth + (1e-9 * (sq_p + sq_q_max) + 1e-300)
     return bound, ~np.isfinite(bound + sq_p)
@@ -202,31 +218,49 @@ def _nearest_distance(Q, P):
     """_nearest(Q, P, 1)[1][:, 0] for non-empty Q, bit for bit: the
     np.linalg.norm distance from each row of P to its nearest row of Q.
 
-    The screen is _nearest's, in blocks of _DISTANCE_BLOCK entries. The
-    pairs it keeps get the exact distance, and each row takes the least of
-    its own: every row keeps at least its smallest screened value, and a
-    NaN distance counts only where all of the row's are NaN, as NaN sorts
-    last in _nearest.
+    In blocks of _DISTANCE_BLOCK entries, one matrix product of the block
+    with a ones column appended and -2 Q^T with |q|^2 appended as a row
+    gives the screened values |q|^2 - 2 p.q, and _screen_bound the bound
+    from each row's least one, at column j0. A row whose runner-up, its
+    least value off j0, is above the bound has Q[j0] as its only candidate
+    and takes np.linalg.norm(Q[j0] - p). The other rows, and those marked
+    full, keep every pair within the bound, get the exact distance of
+    each, and take the least of their own. A NaN screened value is the
+    argmin and makes its row full; a NaN distance then counts only where
+    all of the row's are NaN, as NaN sorts last in _nearest.
     """
     Q = np.asarray(Q, dtype=float)
     P = np.atleast_2d(np.asarray(P, dtype=float))
+    n, d = Q.shape
     out = np.empty(len(P))
-    sq_q = np.einsum("ij,ij->i", Q, Q)
-    sq_q_max = sq_q.max()
-    Qt = -2.0 * Q.T
-    rows = max(1, _DISTANCE_BLOCK // len(Q))
+    right = np.empty((d + 1, n))
+    np.multiply(Q.T, -2.0, out=right[:d])
+    np.einsum("ij,ij->i", Q, Q, out=right[d])
+    sq_q_max = right[d].max()
+    rows = max(1, _DISTANCE_BLOCK // n)
+    block = np.ones((min(rows, len(P)), d + 1))
     for lo in range(0, len(P), rows):
         B = P[lo:lo + rows]
+        r = np.arange(len(B))
+        left = block[:len(B)]
+        left[:, :d] = B
         sq_p = np.einsum("ij,ij->i", B, B)
         with np.errstate(over="ignore", invalid="ignore"):   # overflow falls back
-            s = B @ Qt
-            s += sq_q
-            bound, full = _screen_bound(s.min(axis=1), sq_p, sq_q_max)
-        keep = s <= bound[:, None]
-        keep[full] = True
-        i, j = np.divmod(np.flatnonzero(keep), len(Q))   # i ascends
-        d = np.linalg.norm(Q[j] - B[i], axis=1)
-        out[lo:lo + rows] = np.fmin.reduceat(d, np.searchsorted(i, np.arange(len(B))))
+            s = left @ right
+            j0 = s.argmin(axis=1)
+            least = s[r, j0]
+            bound, full = _screen_bound(least, sq_p, sq_q_max)
+            s[r, j0] = np.inf
+            several = (s.min(axis=1) <= bound) | full   # candidates besides j0
+            s[r, j0] = least
+        dist = np.linalg.norm(Q[j0] - B, axis=1)
+        if several.any():
+            keep = s[several] <= bound[several, None]
+            keep[full[several]] = True
+            i, j = np.divmod(np.flatnonzero(keep), n)   # i ascends
+            dk = np.linalg.norm(Q[j] - B[several][i], axis=1)
+            dist[several] = np.fmin.reduceat(dk, np.searchsorted(i, np.arange(len(keep))))
+        out[lo:lo + rows] = dist
     return out
 
 
@@ -458,10 +492,9 @@ def minority_class_pruning(majority: Dataset, minority: Dataset, k: int, k_neigh
         C, seeds, nb, alphas, dist_min, dist_maj = (np.concatenate(a) for a in zip(*chunks))
         order, ent = noise_filter(C, model, k)
         rows = C[order]
-        records = [{"x": C[i].tolist(), "seed_index": int(seeds[i]),
-                    "neighbor_index": int(nb[i]), "alpha": float(alphas[i]),
-                    "dist_min": float(dist_min[i]), "dist_maj": float(dist_maj[i]),
-                    "entropy": float(ent[i])} for i in order]
+        columns = (a[order].tolist() for a in (C, seeds, nb, alphas, dist_min, dist_maj, ent))
+        records = [{"x": x, "seed_index": s, "neighbor_index": j, "alpha": a, "dist_min": dn,
+                    "dist_maj": dj, "entropy": h} for x, s, j, a, dn, dj, h in zip(*columns)]
     if stats is not None:
         stats.update(spins=spins, accepted=accepted, retained=len(rows))
         if records:

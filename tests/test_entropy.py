@@ -13,7 +13,7 @@ from resmoteboost import (
     posterior_batch,
     shannon_entropy,
 )
-from resmoteboost.entropy import GaussianNBModel, entropy_batch
+from resmoteboost.entropy import GaussianNBModel, entropy_batch, log_joint
 
 
 def symmetric_model():
@@ -187,3 +187,58 @@ class TestScoreEntropy:
         model = fit_gnb(data)
         post = posterior_batch(model, data.X)
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
+
+
+# The closed forms fit_gnb and log_joint are defined by, as first written:
+# the kernels form the same terms in place and must keep their bits.
+def moments_oracle(X, y, w):
+    means, variances = [], []
+    for cls in (NEGATIVE, POSITIVE):
+        wc, Xc = w[y == cls], X[y == cls]
+        w_sum = float(wc.sum())
+        mu = (wc[:, None] * Xc).sum(axis=0) / w_sum
+        means.append(mu)
+        variances.append((wc[:, None] * (Xc - mu) ** 2).sum(axis=0) / w_sum)
+    return np.array(means), np.array(variances)
+
+
+def log_joint_oracle(model, X):
+    diff = X[:, None, :] - model.means[None, :, :]
+    ll = -0.5 * (np.log(2.0 * np.pi * model.variances)[None] + diff ** 2 / model.variances[None])
+    return ll.sum(axis=2) + np.log(model.priors)[None]
+
+
+# per feature: unit, offset by 1e6, squares near 1e300, squares that underflow
+SCALES = (lambda v: v, lambda v: v + 1e6, lambda v: v * 1e150, lambda v: v * 1e-160)
+
+
+def extreme_data(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(60, 6)) * rng.uniform(0.5, 3.0, size=6)
+    X = np.column_stack([SCALES[s](X[:, j]) for j, s in enumerate(rng.integers(0, 4, 6))])
+    y = np.where(rng.uniform(size=60) < 0.3, POSITIVE, NEGATIVE)
+    y[:2] = NEGATIVE, POSITIVE
+    return X, y, rng
+
+
+class TestKernelArithmetic:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fit_gnb_moments_are_the_closed_form(self, weighted, seed):
+        X, y, rng = extreme_data(seed)
+        w = rng.uniform(0.0, 2.0, size=len(y)) if weighted else None
+        model = fit_gnb(Dataset(X, y), weights=w)
+        means, variances = moments_oracle(X, y, np.ones(len(y)) if w is None else w)
+        assert model.means.tobytes() == means.tobytes()
+        assert model.variances.tobytes() == (variances + model.smoothing).tobytes()
+        assert model.smoothing == 1e-9 * float(np.var(X, axis=0).max())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_log_joint_is_the_closed_form(self, seed):
+        X, y, rng = extreme_data(seed)
+        model = fit_gnb(Dataset(X, y), weights=rng.uniform(0.1, 2.0, size=len(y)))
+        queries = np.vstack([X, X[rng.permutation(len(X))] * rng.uniform(0.5, 2.0, size=6)])
+        assert log_joint(model, queries).tobytes() == log_joint_oracle(model, queries).tobytes()
+        one = log_joint(model, queries[0])
+        assert one.shape == (1, 2)
+        assert one.tobytes() == log_joint_oracle(model, queries[:1]).tobytes()

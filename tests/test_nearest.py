@@ -137,16 +137,72 @@ class TestNearestDistance:
         assert got[0] == 5.0 and np.isnan(got[1])
 
 
+class TestRunnerUpScreen:
+    """_nearest_distance takes a row's distance to its least screened value
+    alone unless the runner-up is within the slack or the row is marked
+    full; then it takes the least exact distance over the kept pairs. One
+    block may mix both paths, and each must give _nearest's bits."""
+
+    # a line of rows 10 apart; row 8 repeats row 2, row 9 is row 5 moved
+    # by 1e-12, inside the screen's slack
+    BASE = 10.0 * np.arange(8)[:, None] * np.array([1.0, 0.5, -0.25])
+    Q = np.vstack([BASE, BASE[2], BASE[5] + 1e-12])
+
+    def norm_inputs(self, monkeypatch, Q, P):
+        """(_nearest_distance(Q, P), the shape of each array it takes norms of)."""
+        shapes, norm = [], np.linalg.norm
+
+        def recording_norm(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return norm(x, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "norm", recording_norm)
+            got = _nearest_distance(Q, P)
+        assert got.tobytes() == _nearest(Q, P, 1)[1][:, 0].tobytes()
+        full_scan = [np.linalg.norm(Q - p, axis=1).min() for p in P]
+        assert got.tobytes() == np.array(full_scan).tobytes()
+        return got, shapes
+
+    def test_ties_and_near_ties_take_the_kept_pairs(self, monkeypatch):
+        # rows 1 and 3 have two candidates each (an exact duplicate, a
+        # runner-up within the slack); the others have one
+        P = self.BASE[[0, 2, 4, 5, 7]] + 0.1
+        got, shapes = self.norm_inputs(monkeypatch, self.Q, P)
+        assert shapes == [(5, 3), (4, 3)]
+        assert got[1] == np.linalg.norm(self.BASE[2] + 0.1 - self.BASE[2])
+
+    def test_lone_candidates_skip_the_kept_pairs(self, monkeypatch):
+        P = self.BASE[[0, 4, 7]] - 0.2
+        _, shapes = self.norm_inputs(monkeypatch, self.Q, P)
+        assert shapes == [(3, 3)]
+
+    # squares near 1e154 overflow in the norms as in the full scan
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nan_and_overflow_rows_take_every_pair(self, monkeypatch):
+        # a NaN row and an overflowing row are marked full, beside a tie
+        # and two lone candidates in the same block
+        P = np.vstack([self.BASE[0] + 0.1, [np.nan, 0.0, 1.0], self.BASE[2] + 0.1,
+                       [3e154, -2e154, 1.0], self.BASE[6] + 0.1])
+        got, shapes = self.norm_inputs(monkeypatch, self.Q, P)
+        assert shapes == [(5, 3), (2 * len(self.Q) + 2, 3)]
+        assert np.isnan(got[1]) and got[3] == np.inf and np.all(np.isfinite(got[[0, 2, 4]]))
+        # an overflowing majority row makes every row full
+        Q = np.vstack([self.Q, [1e155, 0.0, 0.0]])
+        _, shapes = self.norm_inputs(monkeypatch, Q, P)
+        assert shapes == [(5, 3), (5 * len(Q), 3)]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("kind", ["unit", "grid", "duplicates", "near-overflow"])
+@pytest.mark.parametrize("kind", ["unit", "grid", "duplicates", "jitter", "near-overflow"])
 @pytest.mark.parametrize("rows", [1, 2])
 def test_blocks_match_one_full_block(monkeypatch, kind, rows):
     # both kernels answer each P row on its own, so blocks of 1 and 2 rows
-    # give the bits of one block holding every row
+    # give the bits of one block holding every row, NaN rows among them
     rng = np.random.default_rng(7)
     Q = make_rows(kind, 30, 3, rng)
-    P = np.vstack([make_rows(kind, 9, 3, rng), Q[:6]])
-    exclude = np.r_[rng.integers(0, 30, 9), np.arange(6)]
+    P = np.vstack([make_rows(kind, 9, 3, rng), Q[:6], [np.nan, 0.0, 1.0]])
+    exclude = np.r_[rng.integers(0, 30, 9), np.arange(6), 0]
 
     def answers(budget):
         monkeypatch.setattr(pruning, "_BLOCK", budget)

@@ -98,6 +98,31 @@ class TestBounds:
         sums = build_roulette(*classes(X, Y)).distances
         assert sums.tobytes() == prefix_sums(X, Y).tobytes()
 
+    @pytest.mark.parametrize("step", [0.1, 1.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_tied_keys_follow_the_prefix_arithmetic(self, step, seed):
+        # each column's keys are searched in sorted order and the splits
+        # scattered back: keys in shuffled order, equal to majority values
+        # and to each other, on a 0.1 grid (inexact) and an integer grid
+        rng = np.random.default_rng(seed)
+        Y = np.round(rng.normal(size=(40, 4)) * 3) * step + 0.3
+        fresh = np.round(rng.normal(size=(10, 4)) * 3) * step + 0.3
+        pool = np.vstack([Y[rng.integers(0, len(Y), 10)], fresh])
+        X = pool[rng.integers(0, len(pool), 50)]
+        X[:, 1] = X[rng.permutation(len(X)), 1]     # rows mixed across columns too
+        sums = build_roulette(*classes(X, Y)).distances
+        assert sums.tobytes() == prefix_sums(X, Y).tobytes()
+
+    def test_one_minority_row_adds_its_columns_in_order(self):
+        # a lone row's twelve column terms, summed in another order (numpy's
+        # pairwise sum over a column of them), round differently
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            Y = rng.normal(size=(25, 12)) * 10.0 ** rng.uniform(-4, 4, size=12)
+            X = rng.normal(size=(1, 12)) * 10.0 ** rng.uniform(-4, 4, size=12)
+            sums = build_roulette(*classes(X, Y)).distances
+            assert sums.tobytes() == prefix_sums(X, Y).tobytes()
+
 
 class TestWheel:
     def test_stays_sorted_when_the_top_bucket_is_negligible(self):
