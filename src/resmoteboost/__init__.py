@@ -14,14 +14,11 @@ from .data import (
     partition_by_class,
     save_csv,
     split_indices,
-    stratified_split,
 )
 from .entropy import (
     GaussianNBModel,
     fit_gnb,
-    posterior,
     posterior_batch,
-    shannon_entropy,
 )
 from .pruning import (
     RouletteWheel,
@@ -32,7 +29,6 @@ from .pruning import (
     noise_filter,
     regularization_accept,
     smote_interpolate,
-    spin,
 )
 from .samplers import adasyn, borderline_smote, random_under, smote, tomek_links
 from .boosting import (
@@ -42,7 +38,6 @@ from .boosting import (
     GaussianNBLearner,
     KNNLearner,
     fit_boosted,
-    fit_stump,
     heuristic_tmax,
     make_learner_factory,
 )
@@ -51,12 +46,10 @@ from .metrics import (
     MetricReport,
     OverlapReport,
     ReplicationSummary,
-    average_precision,
     binary_metrics,
     confusion,
     fisher_ratio,
     overlap_feature_count,
-    pr_curve,
     replication_stats,
     roc_auc,
 )

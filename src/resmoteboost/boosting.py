@@ -16,7 +16,6 @@ Named configurations:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -56,18 +55,6 @@ class DecisionStump:
 
     def predict(self, X):
         return np.where(self.score(X) > 0, POSITIVE, NEGATIVE)
-
-    def params(self):
-        return {"type": "stump", "feature_index": int(self.feature_index),
-                "threshold": float(self.threshold), "polarity": int(self.polarity)}
-
-    @classmethod
-    def from_params(cls, p):
-        s = cls()
-        s.feature_index = p["feature_index"]
-        s.threshold = p["threshold"]
-        s.polarity = p["polarity"]
-        return s
 
 
 def fit_stump_params(X, y, w):
@@ -122,11 +109,6 @@ def fit_stump_params(X, y, w):
     return j, float(thr[b]), 1 if len(plus) else -1
 
 
-def fit_stump(data: Dataset, weights) -> DecisionStump:
-    """Dataset-level wrapper around the exhaustive stump search."""
-    return DecisionStump().fit(data.X, data.y, weights)
-
-
 class GaussianNBLearner:
     """Naive Bayes base classifier; margin is the posterior log-odds."""
 
@@ -146,19 +128,6 @@ class GaussianNBLearner:
 
     def predict(self, X):
         return np.where(self.score(X) > 0, POSITIVE, NEGATIVE)
-
-    def params(self):
-        return {"type": "gnb", "var_smoothing": self.var_smoothing,
-                "priors": self.model.priors.tolist(), "means": self.model.means.tolist(),
-                "variances": self.model.variances.tolist(), "smoothing": self.model.smoothing}
-
-    @classmethod
-    def from_params(cls, p):
-        from .entropy import GaussianNBModel
-        learner = cls(var_smoothing=p["var_smoothing"])
-        learner.model = GaussianNBModel(priors=np.array(p["priors"]), means=np.array(p["means"]),
-                                        variances=np.array(p["variances"]), smoothing=p["smoothing"])
-        return learner
 
 
 class KNNLearner:
@@ -191,15 +160,6 @@ class KNNLearner:
 
     def predict(self, X, lists=None):
         return np.where(self.score(X, lists) > 0, POSITIVE, NEGATIVE)
-
-    def params(self):
-        return {"type": "knn", "n_neighbors": self.n_neighbors,
-                "X": self._X.tolist(), "y": self._y.tolist(), "w": self._w.tolist()}
-
-    @classmethod
-    def from_params(cls, p):
-        learner = cls(n_neighbors=p["n_neighbors"])
-        return learner.fit(np.array(p["X"]), np.array(p["y"]), np.array(p["w"]))
 
 
 LEARNER_TYPES = {"stump": DecisionStump, "gnb": GaussianNBLearner, "knn": KNNLearner}
@@ -240,7 +200,6 @@ class BoostedEnsemble:
     learners: list
     alphas: list
     training_log: list = field(default_factory=list)
-    label_codec: dict = field(default_factory=lambda: {"positive": 1, "negative": -1})
 
     def decision_function(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -253,30 +212,6 @@ class BoostedEnsemble:
     def predict(self, X):
         # exact zero margin resolves to the negative (majority) class
         return np.where(self.decision_function(X) > 0, POSITIVE, NEGATIVE)
-
-    def to_json(self) -> dict:
-        return {
-            "alphas": [float(a) for a in self.alphas],
-            "learners": [lr.params() for lr in self.learners],
-            "label_codec": self.label_codec,
-            "training_log": self.training_log,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BoostedEnsemble":
-        learners = [LEARNER_TYPES[p["type"]].from_params(p) for p in obj["learners"]]
-        return cls(learners=learners, alphas=list(obj["alphas"]),
-                   training_log=list(obj.get("training_log", [])),
-                   label_codec=dict(obj["label_codec"]))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def _predict(learner, X, lists):

@@ -1,4 +1,4 @@
-"""Dataset container, CSV/JSON ingestion, splitting, and synthetic blob generation.
+"""Dataset container, CSV ingestion, splitting, and synthetic blob generation.
 
 Label convention: the minority class is the positive class, encoded +1; the
 majority class is negative, encoded -1. This convention is enforced by
@@ -9,10 +9,9 @@ positives outnumber the negatives.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -201,13 +200,13 @@ class Dataset:
     def n_negative(self) -> int:
         return int(np.sum(self.y == NEGATIVE))
 
-    def subset(self, indices, source_tag=None) -> "Dataset":
+    def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
         return Dataset(
             self.X[idx],
             self.y[idx],
             feature_names=self.feature_names,
-            source_tag=self.source_tag if source_tag is None else source_tag,
+            source_tag=self.source_tag,
         )
 
     def concat(self, other: "Dataset") -> "Dataset":
@@ -219,23 +218,6 @@ class Dataset:
             feature_names=self.feature_names,
             source_tag=self.source_tag,
         )
-
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "feature_names": list(self.feature_names) if self.feature_names else None,
-            "samples": [
-                {"x": [float(v) for v in row], "y": "pos" if lab == POSITIVE else "neg"}
-                for row, lab in zip(self.X, self.y)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Dataset":
-        samples = obj["samples"]
-        X = np.array([s["x"] for s in samples], dtype=float).reshape(len(samples), obj["dimension"])
-        y = np.array([POSITIVE if s["y"] == "pos" else NEGATIVE for s in samples], dtype=int)
-        return cls(X, y, feature_names=obj.get("feature_names"))
 
 
 @dataclass(frozen=True)
@@ -384,12 +366,6 @@ def split_indices(data: Dataset, spec: SplitSpec, rng: RandomSource):
     train_idx = np.sort(np.asarray(train_idx, dtype=int))
     test_idx = np.sort(np.asarray(test_idx, dtype=int))
     return train_idx, test_idx
-
-
-def stratified_split(data: Dataset, spec: SplitSpec, rng: RandomSource):
-    """Random train/test split; returns (train, test) Datasets."""
-    train_idx, test_idx = split_indices(data, spec, rng)
-    return data.subset(train_idx), data.subset(test_idx)
 
 
 def make_gaussian_blobs(n_majority, n_minority, d, separation, seed) -> Dataset:

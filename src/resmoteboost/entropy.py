@@ -111,23 +111,6 @@ def posterior_batch(model: GaussianNBModel, X) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def posterior(model: GaussianNBModel, x):
-    """Posterior pair (P(neg|x), P(pos|x)) for a single feature vector."""
-    p = posterior_batch(model, np.asarray(x, dtype=float)[None, :])[0]
-    return float(p[0]), float(p[1])
-
-
-def shannon_entropy(p) -> float:
-    """Base-2 entropy of a two-class probability pair; 0*log0 taken as 0."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
-        raise ValueError("probabilities must lie in [0, 1]")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError("probabilities must sum to 1")
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
 def entropy_batch(post: np.ndarray) -> np.ndarray:
     """Row-wise base-2 entropy of an (n, 2) posterior array."""
     safe = np.where(post > 0, post, 1.0)

@@ -1,4 +1,4 @@
-"""Classification metrics, ranking curves, replication statistics, and the
+"""Classification metrics, rank-based ROC AUC, replication statistics, and the
 Fisher-ratio overlap comparison.
 
 Both positive-class and macro-averaged variants of each confusion metric are
@@ -151,43 +151,6 @@ def roc_auc(scores, truth) -> float:
         raise ValueError("roc_auc scores must not be NaN")
     ranks = _average_ranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
-
-
-def pr_curve(scores, truth):
-    """Precision-recall points, one per distinct score threshold (descending).
-
-    The final point is always (recall=1, precision=prevalence).
-    """
-    scores = np.asarray(scores, dtype=float)
-    truth = np.asarray(truth)
-    n_pos = int(np.sum(truth == POSITIVE))
-    n_neg = int(np.sum(truth == NEGATIVE))
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("pr_curve needs both classes in truth")
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    is_pos = (truth[order] == POSITIVE).astype(float)
-    tp_cum = np.cumsum(is_pos)
-    pred_cum = np.arange(1, len(s) + 1)
-    # threshold boundaries: last occurrence of each distinct score
-    distinct_last = np.flatnonzero(np.append(np.diff(s) != 0, True))
-    points = []
-    for i in distinct_last:
-        recall = tp_cum[i] / n_pos
-        precision = tp_cum[i] / pred_cum[i]
-        points.append((float(recall), float(precision)))
-    return points
-
-
-def average_precision(scores, truth) -> float:
-    """Step-wise area under the precision-recall curve."""
-    points = pr_curve(scores, truth)
-    ap = 0.0
-    prev_recall = 0.0
-    for recall, precision in points:
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-    return ap
 
 
 @dataclass(frozen=True)

@@ -120,13 +120,6 @@ def build_roulette(minority: Dataset, majority: Dataset) -> RouletteWheel:
                          cumulative=cumulative)
 
 
-def spin(wheel: RouletteWheel, n_draws: int, rng: RandomSource) -> np.ndarray:
-    """Draw n seed indices with repetition; r in bucket [q_{i-1}, q_i) selects i."""
-    if n_draws == 0:
-        return np.empty(0, dtype=int)
-    return _select(wheel, np.atleast_1d(rng.uniform(size=n_draws)))
-
-
 def _select(wheel: RouletteWheel, r):
     """The seed indices the uniforms r select on `wheel`."""
     idx = np.searchsorted(wheel.cumulative, r, side="right")

@@ -31,14 +31,12 @@ from resmoteboost import (
     make_gaussian_blobs,
     overlap_feature_count,
     partition_by_class,
-    posterior,
     roc_auc,
     run_experiment,
-    shannon_entropy,
-    spin,
 )
 from resmoteboost.boosting import BoostConfig, DecisionStump
 from resmoteboost.entropy import GaussianNBModel, entropy_batch, posterior_batch
+from resmoteboost.pruning import _select
 
 from test_pruning import grown_minority, pruned_classes, pruned_majority
 
@@ -53,15 +51,16 @@ def test_criterion_1_metric_oracles():
 
 
 def test_criterion_2_entropy_closed_forms():
-    assert shannon_entropy((0.5, 0.5)) == pytest.approx(1.0, abs=1e-12)
-    assert shannon_entropy((1.0, 0.0)) == 0.0
-    assert shannon_entropy((0.9, 0.1)) == pytest.approx(0.4690, abs=1e-4)
+    h = entropy_batch(np.array([[0.5, 0.5], [1.0, 0.0], [0.9, 0.1]]))
+    assert h[0] == pytest.approx(1.0, abs=1e-12)
+    assert h[1] == 0.0
+    assert h[2] == pytest.approx(0.4690, abs=1e-4)
     # mirror-symmetric two-class model: the midpoint posterior is (1/2, 1/2)
     model = GaussianNBModel(priors=np.array([0.5, 0.5]),
                             means=np.array([[0.0], [2.0]]),
                             variances=np.array([[1.0], [1.0]]),
                             smoothing=1e-12)
-    p = posterior(model, np.array([1.0]))
+    p = posterior_batch(model, np.array([[1.0]]))[0]
     assert p[0] == pytest.approx(0.5, abs=1e-9)
     assert p[1] == pytest.approx(0.5, abs=1e-9)
 
@@ -131,14 +130,14 @@ def test_criterion_5_roulette_statistics():
     minority = Dataset(np.array([[3.0], [1.0]]), np.full(2, POSITIVE))
     wheel = build_roulette(minority, majority)
     np.testing.assert_allclose(wheel.probabilities, [0.25, 0.75], atol=1e-12)
-    draws = spin(wheel, 10_000, RandomSource(17))
+    draws = _select(wheel, RandomSource(17).uniform(size=10_000))
     freq1 = np.mean(draws == 1)
     assert 0.737 <= freq1 <= 0.763
 
     # 4-seed wheel: chi-squared goodness of fit against the exact probabilities
     minority4 = Dataset(np.array([[1.0], [2.0], [4.0], [8.0]]), np.full(4, POSITIVE))
     wheel4 = build_roulette(minority4, majority)
-    draws4 = spin(wheel4, 10_000, RandomSource(23))
+    draws4 = _select(wheel4, RandomSource(23).uniform(size=10_000))
     observed = np.bincount(draws4, minlength=4)
     _, p_value = chisquare(observed, f_exp=wheel4.probabilities * 10_000)
     assert p_value > 0.001

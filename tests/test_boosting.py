@@ -13,7 +13,6 @@ from resmoteboost import (
     POSITIVE,
     RandomSource,
     fit_boosted,
-    fit_stump,
     heuristic_tmax,
     make_gaussian_blobs,
     make_learner_factory,
@@ -42,7 +41,7 @@ class TestFitStump:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([NEGATIVE, NEGATIVE, POSITIVE, POSITIVE])
         w = np.full(4, 0.25)
-        stump = fit_stump(Dataset(X, y), w)
+        stump = DecisionStump().fit(X, y, w)
         assert stump.threshold == pytest.approx(1.5)
         assert stump.polarity == 1
         assert np.array_equal(stump.predict(X), y)
@@ -52,7 +51,7 @@ class TestFitStump:
         X = np.array([[0.0], [1.0], [2.0], [3.0], [10.0]])
         y = np.array([NEGATIVE, NEGATIVE, NEGATIVE, NEGATIVE, POSITIVE])
         w = np.array([0.01, 0.01, 0.01, 0.01, 0.96])
-        stump = fit_stump(Dataset(X, y), w)
+        stump = DecisionStump().fit(X, y, w)
         assert np.sum(w[stump.predict(X) != y]) == pytest.approx(0.0)
         # brute-force oracle over all candidate splits
         best = min(
@@ -119,17 +118,6 @@ class TestLearnerValidation:
         with pytest.raises(ValueError, match="var_smoothing must be finite and positive"):
             GaussianNBLearner(var_smoothing)
 
-    @pytest.mark.parametrize("name, field, value", [("knn", "n_neighbors", 0),
-                                                    ("knn", "n_neighbors", 2.5),
-                                                    ("gnb", "var_smoothing", float("nan"))])
-    def test_loading_a_bad_learner_fails(self, name, field, value):
-        data = make_gaussian_blobs(20, 10, 2, 2.0, 5)
-        ens = fit_boosted(data, BoostConfig(t_max=2), make_learner_factory(name), RandomSource(1))
-        obj = ens.to_json()
-        obj["learners"][0][field] = value
-        with pytest.raises(ValueError, match=field):
-            BoostedEnsemble.from_json(obj)
-
 
 class TestFitBoosted:
     def test_separable_blobs_reach_zero_training_error(self):
@@ -157,7 +145,8 @@ class TestFitBoosted:
         b = fit_boosted(data, cfg, DecisionStump, RandomSource(11))
         np.testing.assert_allclose(a.alphas, b.alphas, atol=1e-12)
         for la, lb in zip(a.learners, b.learners):
-            assert la.params() == lb.params()
+            assert ((la.feature_index, la.threshold, la.polarity)
+                    == (lb.feature_index, lb.threshold, lb.polarity))
 
     def test_tmax_one_equals_single_learner(self):
         data = make_gaussian_blobs(50, 25, 2, 2.0, 4)
@@ -227,9 +216,6 @@ class TestEnsemblePrediction:
             def predict(self, X):
                 return np.full(len(np.atleast_2d(X)), self.v)
 
-            def params(self):
-                return {"type": "fixed", "v": self.v}
-
         return BoostedEnsemble(learners=[Fixed(v) for v in votes], alphas=list(alphas))
 
     def test_single_learner_identity(self):
@@ -251,20 +237,6 @@ class TestEnsemblePrediction:
         ens = fit_boosted(data, cfg, DecisionStump, RandomSource(2))
         margins = ens.decision_function(data.X)
         assert np.all(np.abs(margins) <= sum(abs(a) for a in ens.alphas) + 1e-12)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("name", ["stump", "gnb", "knn"])
-    def test_json_round_trip(self, name, tmp_path):
-        data = make_gaussian_blobs(40, 20, 2, 2.0, 5)
-        cfg = BoostConfig(t_max=3, rebalancer="none")
-        ens = fit_boosted(data, cfg, make_learner_factory(name), RandomSource(1))
-        path = tmp_path / "ens.json"
-        ens.save(path)
-        back = BoostedEnsemble.load(path)
-        np.testing.assert_array_equal(back.predict(data.X), ens.predict(data.X))
-        np.testing.assert_allclose(back.decision_function(data.X),
-                                   ens.decision_function(data.X), atol=1e-12)
 
 
 class TestNamedConfigurations:

@@ -12,7 +12,7 @@ from resmoteboost import (
     make_gaussian_blobs,
     partition_by_class,
     save_csv,
-    stratified_split,
+    split_indices,
 )
 
 
@@ -115,28 +115,33 @@ class TestImbalanceRatio:
         assert imbalance_ratio(partition_by_class(data)) == 1.0
 
 
+def split(data, spec, rng):
+    train_idx, test_idx = split_indices(data, spec, rng)
+    return data.subset(train_idx), data.subset(test_idx)
+
+
 class TestStratifiedSplit:
     def test_proportional_allocation(self):
         data = make_gaussian_blobs(80, 20, 2, 2.0, 0)
-        train, test = stratified_split(data, SplitSpec(train_fraction=0.8), RandomSource(1))
+        train, test = split(data, SplitSpec(train_fraction=0.8), RandomSource(1))
         assert (train.n_negative, train.n_positive) == (64, 16)
         assert (test.n_negative, test.n_positive) == (16, 4)
 
     def test_half_split(self):
         data = make_gaussian_blobs(4, 2, 2, 2.0, 0)
-        train, test = stratified_split(data, SplitSpec(train_fraction=0.5), RandomSource(1))
+        train, test = split(data, SplitSpec(train_fraction=0.5), RandomSource(1))
         assert (train.n_negative, train.n_positive) == (2, 1)
         assert (test.n_negative, test.n_positive) == (2, 1)
 
     def test_determinism_and_seed_sensitivity(self):
         data = make_gaussian_blobs(40, 10, 2, 2.0, 0)
         spec = SplitSpec()
-        a1, _ = stratified_split(data, spec, RandomSource(9))
-        a2, _ = stratified_split(data, spec, RandomSource(9))
+        a1, _ = split(data, spec, RandomSource(9))
+        a2, _ = split(data, spec, RandomSource(9))
         np.testing.assert_array_equal(a1.X, a2.X)
         differs = False
         for s in range(100):
-            b, _ = stratified_split(data, spec, RandomSource(s))
+            b, _ = split(data, spec, RandomSource(s))
             if not np.array_equal(a1.X, b.X):
                 differs = True
                 break
@@ -144,7 +149,7 @@ class TestStratifiedSplit:
 
     def test_split_is_partition(self):
         data = make_gaussian_blobs(33, 11, 2, 1.0, 4)
-        train, test = stratified_split(data, SplitSpec(), RandomSource(2))
+        train, test = split(data, SplitSpec(), RandomSource(2))
         merged = sorted(map(tuple, np.vstack([train.X, test.X])))
         assert merged == sorted(map(tuple, data.X))
 
@@ -152,7 +157,7 @@ class TestStratifiedSplit:
         X = np.zeros((3, 1))
         y = np.array([NEGATIVE, NEGATIVE, POSITIVE])
         with pytest.raises(ValueError):
-            stratified_split(Dataset(X, y), SplitSpec(), RandomSource(0))
+            split(Dataset(X, y), SplitSpec(), RandomSource(0))
 
 
 class TestBlobs:
@@ -172,11 +177,3 @@ class TestBlobs:
     def test_zero_minority_errors(self):
         with pytest.raises(ValueError):
             make_gaussian_blobs(10, 0, 2, 1.0, 0)
-
-
-class TestJsonExport:
-    def test_round_trip(self):
-        data = make_gaussian_blobs(10, 5, 2, 1.0, 3)
-        back = Dataset.from_json(data.to_json())
-        np.testing.assert_array_equal(back.X, data.X)
-        np.testing.assert_array_equal(back.y, data.y)

@@ -14,13 +14,11 @@ from resmoteboost import (
     Dataset,
     NEGATIVE,
     POSITIVE,
-    average_precision,
     binary_metrics,
     confusion,
     fisher_ratio,
     make_gaussian_blobs,
     overlap_feature_count,
-    pr_curve,
     replication_stats,
     roc_auc,
 )
@@ -182,44 +180,6 @@ class TestRocAuc:
     def test_single_class_errors(self):
         with pytest.raises(ValueError):
             roc_auc([0.1, 0.2], [POSITIVE, POSITIVE])
-
-
-class TestPrCurve:
-    def test_perfect_ranking_precision_one(self):
-        scores = [0.9, 0.8, 0.2, 0.1]
-        truth = [POSITIVE, POSITIVE, NEGATIVE, NEGATIVE]
-        points = pr_curve(scores, truth)
-        for recall, precision in points[:2]:
-            assert precision == 1.0
-        assert points[-1] == (1.0, 0.5)
-
-    def test_constant_scores_single_point(self):
-        points = pr_curve([0.5] * 4, [POSITIVE, NEGATIVE, NEGATIVE, NEGATIVE])
-        assert points == [(1.0, 0.25)]
-
-    def test_recall_non_decreasing(self):
-        rng = np.random.default_rng(3)
-        scores = rng.random(30)
-        truth = np.where(rng.random(30) < 0.3, POSITIVE, NEGATIVE)
-        truth[0], truth[1] = POSITIVE, NEGATIVE
-        points = pr_curve(scores, truth)
-        recalls = [r for r, _ in points]
-        assert recalls == sorted(recalls)
-
-    def test_average_precision_matches_enumeration(self):
-        # 10-point case with hand-enumerable structure
-        scores = [0.9, 0.85, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]
-        truth = [POSITIVE, NEGATIVE, POSITIVE, POSITIVE, NEGATIVE,
-                 NEGATIVE, POSITIVE, NEGATIVE, NEGATIVE, NEGATIVE]
-        # brute force: sum precision-at-k over positive ranks / n_pos
-        expected = 0.0
-        tp = 0
-        for k, t in enumerate(sorted(zip(scores, truth), reverse=True), start=1):
-            if t[1] == POSITIVE:
-                tp += 1
-                expected += tp / k
-        expected /= 4
-        assert average_precision(scores, truth) == pytest.approx(expected, abs=1e-12)
 
 
 class TestReplicationStats:

@@ -15,7 +15,7 @@ from scipy.spatial.distance import cdist
 
 from resmoteboost import (ClassPartition, Dataset, KNNLearner, NEGATIVE, POSITIVE,
                           RandomSource, build_roulette, fit_gnb,
-                          make_gaussian_blobs, regularization_accept, smote_interpolate, spin,
+                          make_gaussian_blobs, regularization_accept, smote_interpolate,
                           tomek_links)
 from resmoteboost.entropy import entropy_batch, posterior_batch
 from resmoteboost import pruning
@@ -250,7 +250,7 @@ def oversample_oracle(majority, minority, k, k_neighbors, model, rng, stats):
     accepted = []
     spins = 0
     while len(accepted) < 2 * k and spins < 50 * max(k, 1):
-        seed_index = int(spin(wheel, 1, rng)[0])
+        seed_index = int(pruning._select(wheel, rng.uniform(size=1))[0])
         spins += 1
         seed = minority.X[seed_index]
         x, neighbor_index, alpha = old_smote_interpolate(seed, minority, seed_index,

@@ -8,6 +8,8 @@ product, must leave the lists exactly as one that computes every (query,
 appended row) distance.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,9 +247,13 @@ def test_loaded_ensemble_margin_is_bitwise_equal(rebalancer, fresh):
     cfg = BoostConfig(t_max=6, k=5, rebalancer=rebalancer, fresh_pools=fresh)
     ens = fit_boosted(data, cfg, KNNLearner, RandomSource(9))
     X = np.vstack([data.X, np.random.default_rng(0).integers(0, 6, size=(30, 3))])
-    loaded = BoostedEnsemble.from_json(ens.to_json())
-    assert all(learner.pool_keys is None for learner in loaded.learners)
-    assert loaded.decision_function(X).tobytes() == ens.decision_function(X).tobytes()
+    # an ensemble assembled outside fit_boosted: its k-NN members carry no
+    # pool keys, so each searches its pool in full
+    members = [copy.copy(learner) for learner in ens.learners]
+    for member in members:
+        member.pool_keys = None
+    built = BoostedEnsemble(learners=members, alphas=ens.alphas)
+    assert built.decision_function(X).tobytes() == ens.decision_function(X).tobytes()
 
 
 def _full_search(self, P, keys, k):

@@ -23,7 +23,6 @@ from resmoteboost import (
     run_experiment,
     smote,
     smote_interpolate,
-    spin,
 )
 from resmoteboost import pruning
 from resmoteboost.entropy import entropy_batch, posterior_batch
@@ -133,30 +132,22 @@ class TestRoulette:
         minority = Dataset(np.array([[0.0], [0.75]]), np.full(2, POSITIVE))
         majority = Dataset(np.array([[1.0]]), np.array([NEGATIVE]))
         wheel = build_roulette(minority, majority)
-
-        class FixedRng:
-            def __init__(self, values):
-                self.values = list(values)
-
-            def uniform(self, size=None):
-                return np.array([self.values.pop(0) for _ in range(size or 1)])
-
         # half-open buckets: r = q_0 falls in the second bucket
-        draws = spin(wheel, 3, FixedRng([0.1, wheel.cumulative[0], 0.999]))
+        draws = pruning._select(wheel, np.array([0.1, wheel.cumulative[0], 0.999]))
         assert list(draws) == [0, 1, 1]
 
     def test_single_seed_wheel(self):
         minority = Dataset(np.array([[0.0]]), np.array([POSITIVE]))
         majority = Dataset(np.array([[1.0]]), np.array([NEGATIVE]))
         wheel = build_roulette(minority, majority)
-        draws = spin(wheel, 20, RandomSource(4))
+        draws = pruning._select(wheel, RandomSource(4).uniform(size=20))
         assert set(draws) == {0}
 
     def test_empirical_frequency(self):
         minority = Dataset(np.array([[0.0], [2.0 / 3.0]]), np.full(2, POSITIVE))
         majority = Dataset(np.array([[1.0]]), np.array([NEGATIVE]))
         wheel = build_roulette(minority, majority)
-        draws = spin(wheel, 10_000, RandomSource(123))
+        draws = pruning._select(wheel, RandomSource(123).uniform(size=10_000))
         freq = np.mean(draws == 1)
         assert 0.737 <= freq <= 0.763  # p=0.75 +- 3 binomial sigma
 

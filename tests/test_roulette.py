@@ -2,8 +2,8 @@
 
 `build_roulette` defines each minority row's summed L1 distance to the
 majority class by sorted, centred majority columns and their prefix sums.
-Every selection, in `spin`, in `minority_class_pruning` and in the samplers'
-oracle, is a search of that one wheel. The tests pin the sums bit for bit to
+Every selection, in `minority_class_pruning` and in the samplers' oracle,
+is a search of that one wheel. The tests pin the sums bit for bit to
 that arithmetic, hold them within a stated rounding tolerance of scipy's
 `cdist(..., "cityblock")` sums, and check the wheel stays valid where its
 arithmetic is most strained.
@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from resmoteboost import (Dataset, ExperimentConfig, NEGATIVE, POSITIVE, RandomSource,
-                          RouletteWheel, build_roulette, make_gaussian_blobs, run_experiment,
-                          spin)
+                          RouletteWheel, build_roulette, make_gaussian_blobs, run_experiment)
 from resmoteboost.pruning import _select, minority_class_pruning, smote_interpolate
 
 from test_nearest import KINDS, assert_matches_oracle, make_rows, pools
@@ -156,7 +155,7 @@ class TestSpins:
         seeds = smote_interpolate(minority.X, 50, 3, a, lambda r: _select(wheel, r))[1]
         expected = []
         for _ in range(50):
-            expected.append(int(spin(wheel, 1, b)[0]))
+            expected.append(int(_select(wheel, b.uniform(size=1))[0]))
             b.integers(0, 3)
             b.uniform()
         assert list(seeds) == expected
