@@ -26,6 +26,7 @@ from .entropy import fit_gnb, log_joint
 from .pruning import _NeighbourLists, double_pruning, nearest_rows, smote_interpolate
 
 _ALPHA_EPS = 1e-10  # clamp for zero training error
+_GNB_VAR_SMOOTHING = 1.0   # the naive Bayes learner's variance floor, times the largest variance
 
 
 def heuristic_tmax(n_majority: int, n_minority: int, k: int) -> int:
@@ -112,14 +113,11 @@ def fit_stump_params(X, y, w):
 class GaussianNBLearner:
     """Naive Bayes base classifier; margin is the posterior log-odds."""
 
-    def __init__(self, var_smoothing: float = 1.0):
-        if not math.isfinite(var_smoothing) or var_smoothing <= 0:
-            raise ValueError(f"var_smoothing must be finite and positive, got {var_smoothing!r}")
-        self.var_smoothing = var_smoothing
+    def __init__(self):
         self.model = None
 
     def fit(self, X, y, w):
-        self.model = fit_gnb(Dataset(X, y), weights=w, var_smoothing=self.var_smoothing)
+        self.model = fit_gnb(Dataset(X, y), weights=w, var_smoothing=_GNB_VAR_SMOOTHING)
         return self
 
     def score(self, X):
@@ -167,7 +165,7 @@ LEARNER_TYPES = {"stump": DecisionStump, "gnb": GaussianNBLearner, "knn": KNNLea
 
 def make_learner_factory(name: str):
     """The learner class for `name`; called with no arguments it builds a
-    learner with the defaults (var_smoothing=1.0, n_neighbors=10)."""
+    learner with the defaults (n_neighbors=10 for k-NN)."""
     if name not in LEARNER_TYPES:
         raise ValueError(f"unknown base learner {name!r}")
     return LEARNER_TYPES[name]

@@ -336,8 +336,10 @@ def imbalance_ratio(partition: ClassPartition) -> float:
     return len(partition.majority) / len(partition.minority)
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def _n_train(spec: SplitSpec, size: int) -> int:
+    """The training rows split_indices takes from a group of `size` rows:
+    round-half-up of train_fraction * size."""
+    return min(max(int(math.floor(spec.train_fraction * size + 0.5)), 0), size)
 
 
 def split_indices(data: Dataset, spec: SplitSpec, rng: RandomSource):
@@ -359,8 +361,7 @@ def split_indices(data: Dataset, spec: SplitSpec, rng: RandomSource):
     train_idx, test_idx = [], []
     for g in groups:
         order = rng.permutation(len(g))
-        n_train = _round_half_up(spec.train_fraction * len(g))
-        n_train = min(max(n_train, 0), len(g))
+        n_train = _n_train(spec, len(g))
         train_idx.extend(g[order[:n_train]])
         test_idx.extend(g[order[n_train:]])
     train_idx = np.sort(np.asarray(train_idx, dtype=int))

@@ -15,8 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from .boosting import BoostConfig, fit_boosted, heuristic_tmax, make_learner_factory
-from .data import (Dataset, NEGATIVE, POSITIVE, RandomSource, SplitSpec, _integer, mix_seed,
-                   partition_by_class, split_indices)
+from .data import (Dataset, NEGATIVE, POSITIVE, RandomSource, SplitSpec, _integer, _n_train,
+                   mix_seed, partition_by_class, split_indices)
 from .metrics import binary_metrics, confusion, replication_stats, roc_auc
 from . import samplers
 
@@ -70,6 +70,9 @@ class ExperimentConfig:
 
     def to_json(self) -> dict:
         return asdict(self)
+
+    def split_spec(self) -> SplitSpec:
+        return SplitSpec(train_fraction=1.0 - self.test_fraction, stratified=self.stratified)
 
 
 def default_k(n_majority: int, n_minority: int) -> int:
@@ -166,8 +169,7 @@ def run_replication(data: Dataset, cfg: ExperimentConfig, index: int,
     if cfg.cv_folds:
         train_idx, test_idx = _fold_indices(data, cfg.cv_folds, cfg.seed, index)
     else:
-        spec = SplitSpec(train_fraction=1.0 - cfg.test_fraction, stratified=cfg.stratified)
-        train_idx, test_idx = split_indices(data, spec, rng)
+        train_idx, test_idx = split_indices(data, cfg.split_spec(), rng)
     train, test = data.subset(train_idx), data.subset(test_idx)
     pred, scores, info = train_and_score(train, test, cfg, rng, capture=capture)
     report = binary_metrics(confusion(pred, test.y))
@@ -201,6 +203,10 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig, capture: dict | None = 
         raise ValueError(f"cv_folds={cfg.cv_folds} exceeds the smaller class count "
                          f"{min(data.n_positive, data.n_negative)}: some fold would test "
                          f"on one class")
+    groups = (data.n_negative, data.n_positive) if cfg.stratified else (len(data),)
+    if not cfg.cv_folds and all(_n_train(cfg.split_spec(), n) == n for n in groups):
+        raise ValueError(f"test_fraction={cfg.test_fraction} rounds to no test rows for "
+                         f"{data.n_negative} negative and {data.n_positive} positive rows")
     t0 = time.perf_counter()
     replications = [run_replication(data, cfg, i, capture=None if i else capture)
                     for i in range(cfg.cv_folds or cfg.replications)]

@@ -136,28 +136,44 @@ def nearest_rows(Q, P, k: int, exclude=None) -> np.ndarray:
     return _nearest(Q, P, k, exclude)[0]
 
 
-def _screen_bound(kth, sq_p, sq_q_max):
-    """(bound, full) for screened values s = |q|^2 - 2 p.q whose k-th
-    smallest in each row is kth: every row q of the exact top k has
-    s <= bound, except in the rows marked full, which need the full scan.
+def _screen_bound(kth, sq_p, sq_q_max, b2=0.0):
+    """(bound, full) for screened values s = |q|^2 - 2 p.q, the squared
+    distance from row p to column q less the row's constant |p|^2: every
+    pair a caller needs has s <= bound, except in the rows marked full,
+    which keep every pair. For the top k, kth is each row's k-th smallest
+    screened value, and the columns of the exact top k are needed. For
+    admission, kth is b2 - |p|^2 for a distance bound b with b2 = b * b,
+    the slack's scale adds b2, and the columns whose np.linalg.norm
+    distance is strictly below b are needed.
 
     A screened value, whether the product's d terms get |q|^2 added after
-    (_nearest) or take it as a (d + 1)-th term (_nearest_distance), differs
-    from the exact |q|^2 - 2 p.q by at most about (3d + 2) * 2^-53 *
-    (|p|^2 + |q|^2); the square of the distance np.linalg.norm returns
-    differs from the exact |p - q|^2 by at most about (2d + 8) * 2^-53 *
-    (|p|^2 + |q|^2); each gains a few multiples of d subnormal units
-    (2^-1074) where squares underflow. Within a row the two differ by the
-    constant |p|^2, so every row of the exact top k screens at most twice
-    their sum, (10d + 20) * 2^-53 * (|p|^2 + max |q|^2), above the k-th
-    screened value, which the slack below exceeds for any d up to about
-    9 * 10^5. Where |p|^2, some |q|^2, the bound or the bound plus |p|^2
-    (about the k-th squared distance) is not finite, the row takes the full
-    exact scan: squares overflow near 1e154. Call it with overflow and
+    or take it as a (d + 1)-th term, is within about (3d + 2) * 2^-53 *
+    (|p|^2 + |q|^2) of the exact |q|^2 - 2 p.q, and the square of the
+    np.linalg.norm distance within (2d + 8) * 2^-53 * (|p|^2 + |q|^2) of
+    |p - q|^2; each gains a few multiples of d subnormal units (2^-1074)
+    where squares underflow. So a column of the exact top k screens at most
+    (10d + 20) * 2^-53 * (|p|^2 + max |q|^2) above the k-th value. A norm
+    below b has |p - q|^2 < b^2 * (1 + (d + 5) * 2^-53); with b2 within
+    2^-53 of b^2 and the limit's two roundings, its screened value is at
+    most b2 - |p|^2 plus (3d + 10) * 2^-53 * (|p|^2 + |q|^2 + b2). The
+    slack below exceeds both for any d up to about 9 * 10^5. Where |p|^2,
+    some |q|^2, b2, the bound or the bound plus |p|^2 is not finite, the
+    row is full: squares overflow near 1e154. Call it with overflow and
     invalid-value warnings off.
     """
-    bound = kth + (1e-9 * (sq_p + sq_q_max) + 1e-300)
+    bound = kth + (1e-9 * (sq_p + sq_q_max + b2) + 1e-300)
     return bound, ~np.isfinite(bound + sq_p)
+
+
+def _kept_pairs(s, bound, full, R, C):
+    """(i, j, d) for the screened values s of the rows R against the
+    columns C: the pairs with s <= bound in their row, and every pair of the
+    rows marked full, with i ascending and j ascending within a row, and
+    each pair's exact distance np.linalg.norm(C[j] - R[i], axis=1)."""
+    keep = s <= bound[:, None]
+    keep[full] = True
+    i, j = np.nonzero(keep)
+    return i, j, np.linalg.norm(C[j] - R[i], axis=1)
 
 
 def _nearest(Q, P, k: int, exclude=None):
@@ -194,12 +210,10 @@ def _nearest(Q, P, k: int, exclude=None):
                 s[r, ex] = np.inf
             kth = s.min(axis=1) if k == 1 else np.partition(s, k - 1, axis=1)[:, k - 1]
             bound, full = _screen_bound(kth, sq_p, sq_q_max)
-        keep = s <= bound[:, None]
-        keep[full] = True
-        if exclude is not None:
-            keep[r, ex] = False
-        i, j = np.nonzero(keep)              # j ascends within each row
-        d = np.linalg.norm(Q[j] - B[i], axis=1)
+        i, j, d = _kept_pairs(s, bound, full, B, Q)
+        if exclude is not None:   # an excluded pair is kept only in a full row
+            mine = j != ex[i]
+            i, j, d = i[mine], j[mine], d[mine]
         order = np.lexsort((d, i))           # stable: equal distances keep position order
         counts = np.bincount(i, minlength=len(B))
         at = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
@@ -248,11 +262,8 @@ def _nearest_distance(Q, P):
             s[r, j0] = least
         dist = np.linalg.norm(Q[j0] - B, axis=1)
         if several.any():
-            keep = s[several] <= bound[several, None]
-            keep[full[several]] = True
-            i, j = np.divmod(np.flatnonzero(keep), n)   # i ascends
-            dk = np.linalg.norm(Q[j] - B[several][i], axis=1)
-            dist[several] = np.fmin.reduceat(dk, np.searchsorted(i, np.arange(len(keep))))
+            i, _, dk = _kept_pairs(s[several], bound[several], full[several], B[several], Q)
+            dist[several] = np.fmin.reduceat(dk, np.searchsorted(i, np.arange(several.sum())))
         out[lo:lo + rows] = dist
     return out
 
@@ -338,28 +349,10 @@ class _NeighbourLists:
             v = self.Q @ (-2.0 * A.T)
             v += sq_a
             b2 = self.bound * self.bound
-            # v = |a|^2 - 2 q.a is the squared distance less |q|^2. A pair is
-            # admitted when np.linalg.norm's distance, the rounded root of a
-            # sum within about (d + 2) * 2^-53 of |a - q|^2, is below the bound
-            # b; so |a - q|^2 < b^2 * (1 + (d + 5) * 2^-53). The rounded square
-            # b2 is within 2^-53 of b^2, v and |q|^2 within (2d + 3) * 2^-53 *
-            # (|q|^2 + |a|^2) and d * 2^-53 * |q|^2 of theirs, and the limit's
-            # two roundings add 2^-53 * (b2 + |q|^2) each. Squares that
-            # underflow add a few multiples of d subnormal units (2^-1074). So
-            # an admitted pair's v is at most b2 - |q|^2 plus (3d + 10) *
-            # 2^-53 * (|q|^2 + |a|^2 + b2) + 5d * 2^-1074, which the slack
-            # exceeds for any d up to about 10^6. Where b2, |q|^2 or any |a|^2
-            # is not finite, or their sum overflows, the limit plus |q|^2 is
-            # not finite and the row keeps every pair: squares overflow near
-            # 1e154. Otherwise no partial sum of q.a overflows, and an admitted
-            # pair's v, at most b^2 plus the slack, is finite.
-            slack = 1e-9 * (self.sq_q + sq_a.max(initial=0.0) + b2) + 1e-300
-            limit = (b2 - self.sq_q) + slack
-            keep = v <= limit[:, None]
-            keep[~np.isfinite(limit + self.sq_q)] = True
-        i, j = np.divmod(np.flatnonzero(keep), n_app)
-        d_app = np.full(keep.shape, np.inf)   # inf is never admitted
-        d_app[i, j] = np.linalg.norm(A[j] - self.Q[i], axis=1)
+            limit, full = _screen_bound(b2 - self.sq_q, self.sq_q, sq_a.max(initial=0.0), b2)
+        i, j, dk = _kept_pairs(v, limit, full, self.Q, A)
+        d_app = np.full(v.shape, np.inf)   # inf is never admitted
+        d_app[i, j] = dk
         admit = d_app < self.bound[:, None]
         n_alive = alive.sum(axis=1)
         rows = np.flatnonzero((n_alive < self.count) | admit.any(axis=1))

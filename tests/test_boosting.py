@@ -18,7 +18,7 @@ from resmoteboost import (
     make_learner_factory,
 )
 from resmoteboost import boosting, pruning
-from resmoteboost.boosting import GaussianNBLearner, KNNLearner, fit_stump_params
+from resmoteboost.boosting import KNNLearner, fit_stump_params
 
 
 class TestHeuristicTmax:
@@ -111,12 +111,6 @@ class TestLearnerValidation:
 
     def test_knn_accepts_numpy_integers(self):
         assert KNNLearner(np.int64(3)).n_neighbors == 3
-
-    @pytest.mark.parametrize("var_smoothing", [float("nan"), float("inf"), -float("inf"),
-                                               0.0, -1.0])
-    def test_gnb_rejects_non_finite_or_non_positive_smoothing(self, var_smoothing):
-        with pytest.raises(ValueError, match="var_smoothing must be finite and positive"):
-            GaussianNBLearner(var_smoothing)
 
 
 class TestFitBoosted:

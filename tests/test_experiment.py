@@ -83,6 +83,20 @@ def test_positive_majority_rejected_before_any_replication(started_replications)
     assert started_replications == [0, 1]   # equal class sizes run
 
 
+@pytest.mark.parametrize("stratified", [True, False])
+def test_empty_test_split_rejected_before_any_replication(started_replications, stratified):
+    # 0.9 of 3 and of 2 rows (or of 5) rounds up to every row
+    data = make_gaussian_blobs(3, 2, 2, 2.0, 0)
+    cfg = ExperimentConfig(test_fraction=0.1, stratified=stratified, replications=2)
+    with pytest.raises(ValueError, match=r"test_fraction=0\.1 rounds to no test rows for "
+                                         r"3 negative and 2 positive rows"):
+        run_experiment(data, cfg)
+    assert started_replications == []
+    run_experiment(data, ExperimentConfig(test_fraction=0.2, stratified=stratified,
+                                          replications=2))
+    assert started_replications == [0, 1]   # 0.8 of 3 rounds to 2 training rows
+
+
 def test_one_class_test_split_leaves_auc_undefined():
     data = make_gaussian_blobs(200, 6, 2, 1.5, 0)
     report = run_experiment(data, ExperimentConfig(stratified=False, replications=30, seed=0))
