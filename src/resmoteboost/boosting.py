@@ -63,9 +63,21 @@ def fit_stump_params(X, y, w):
 
     Candidates are the midpoints between consecutive distinct sorted values of
     each feature plus -inf/+inf sentinels (the sentinels encode the constant
-    classifiers). Every candidate of every feature is scored at once from one
-    stable sort per column. Ties break toward (lower feature, lower threshold,
-    positive polarity). Returns (feature_index, threshold, polarity).
+    classifiers). Every candidate of every feature is scored at once. Ties
+    break toward (lower feature, lower threshold, positive polarity). Returns
+    (feature_index, threshold, polarity).
+
+    The search works on the (d, n) transpose, one contiguous row per feature.
+    Each row is ordered by numpy's default argsort, which is not stable (and
+    vectorised on recent numpy), and then each run of equal values is put
+    back in position order: the integer keys run * n + position are
+    distinct, and a run's keys lie in [run * n, run * n + n), so sorting
+    them orders the rows by (value, position), which is the stable order
+    whatever sort numpy uses. The order inside a run decides the bits of the
+    weight sums below each boundary, and a cumulative sum along a contiguous
+    row adds in the same sequence as one down a column, so the errors and
+    the chosen stump, the sign of a zero threshold included, are those of a
+    stable sort per column.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -83,29 +95,37 @@ def fit_stump_params(X, y, w):
     w_pos_total = float(w[y == POSITIVE].sum())
     w_neg_total = float(w[y == NEGATIVE].sum())
 
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    # row b of cp/cn is the weight below boundary b, the threshold between
-    # xs[b-1] and xs[b]; row 0 is the -inf sentinel and row n the +inf one
-    cp = np.zeros((n + 1, d))
-    cn = np.zeros((n + 1, d))
-    np.cumsum(np.where(y == POSITIVE, w, 0.0)[order], axis=0, out=cp[1:])
-    np.cumsum(np.where(y == NEGATIVE, w, 0.0)[order], axis=0, out=cn[1:])
+    Xt = np.ascontiguousarray(X.T)
+    order = np.argsort(Xt, axis=1)
+    xs = np.take_along_axis(Xt, order, axis=1)
+    # column b of tied/cp/cn is boundary b, the threshold between xs[:, b-1]
+    # and xs[:, b]; column 0 is the -inf sentinel and column n the +inf one
+    tied = np.zeros((d, n + 1), dtype=bool)
+    tied[:, 1:n] = xs[:, 1:] == xs[:, :-1]   # no threshold between equal values
+    if tied.any():   # restore position order inside each run of equal values
+        run = np.cumsum(~tied[:, :n], axis=1, dtype=np.intp) * n
+        order += run
+        order.sort(axis=1)
+        order -= run
+    cp = np.zeros((d, n + 1))
+    cn = np.zeros((d, n + 1))
+    np.cumsum(np.where(y == POSITIVE, w, 0.0)[order], axis=1, out=cp[:, 1:])
+    np.cumsum(np.where(y == NEGATIVE, w, 0.0)[order], axis=1, out=cn[:, 1:])
     err_plus = cp + (w_neg_total - cn)    # predict + where x > thr
     err_minus = (w_pos_total - cp) + cn   # predict + where x < thr
-    tied = np.zeros((n + 1, d), dtype=bool)
-    tied[1:n] = xs[1:] == xs[:-1]         # no threshold between equal values
     err_plus[tied] = np.inf
     err_minus[tied] = np.inf
 
     # lexicographic minimum of (error, feature, threshold, -polarity)
     best = min(err_plus.min(), err_minus.min())
     hit_plus, hit_minus = err_plus == best, err_minus == best
-    j = int(np.argmax((hit_plus | hit_minus).any(axis=0)))
-    thr = np.concatenate([[-np.inf], 0.5 * (xs[:-1, j] + xs[1:, j]), [np.inf]])
-    hits = np.flatnonzero(hit_plus[:, j] | hit_minus[:, j])
+    j = int(np.argmax((hit_plus | hit_minus).any(axis=1)))
+    # xs keeps the unrestored order: the two values at a boundary differ, so at
+    # most one is a signed zero and the midpoint does not depend on run order
+    thr = np.concatenate([[-np.inf], 0.5 * (xs[j, :-1] + xs[j, 1:]), [np.inf]])
+    hits = np.flatnonzero(hit_plus[j] | hit_minus[j])
     lowest = hits[thr[hits] == thr[hits].min()]   # distinct boundaries can round to one midpoint
-    plus = lowest[hit_plus[lowest, j]]
+    plus = lowest[hit_plus[j, lowest]]
     b = plus[0] if len(plus) else lowest[0]
     return j, float(thr[b]), 1 if len(plus) else -1
 

@@ -201,7 +201,13 @@ class Dataset:
         return int(np.sum(self.y == NEGATIVE))
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=int)
+        """Rows at the integer positions `indices`, in that order; a boolean
+        mask or float positions raise instead of being cast to positions."""
+        idx = np.asarray(indices)
+        if idx.size == 0:
+            idx = idx.astype(int)   # [] reads as float64
+        elif idx.dtype.kind not in "iu":
+            raise ValueError(f"indices must be integer positions, got dtype {idx.dtype}")
         return Dataset(
             self.X[idx],
             self.y[idx],

@@ -115,6 +115,27 @@ class TestImbalanceRatio:
         assert imbalance_ratio(partition_by_class(data)) == 1.0
 
 
+class TestSubset:
+    data = make_gaussian_blobs(3, 2, 1, 1.0, 0)
+
+    def test_integer_positions_in_order(self):
+        sub = self.data.subset(np.array([4, 0, 4], dtype=np.uint8))
+        np.testing.assert_array_equal(sub.X, self.data.X[[4, 0, 4]])
+        np.testing.assert_array_equal(sub.y, self.data.y[[4, 0, 4]])
+
+    @pytest.mark.parametrize("indices", [[False, False, True, True, True], [2.7, 3.2]])
+    def test_mask_or_float_positions_rejected(self, indices):
+        # a mask was read as the positions 0 and 1, floats were truncated
+        dtype = np.asarray(indices).dtype
+        with pytest.raises(ValueError, match=f"integer positions, got dtype {dtype}"):
+            self.data.subset(indices)
+
+    @pytest.mark.parametrize("indices", [[], np.array([], dtype=int)])
+    def test_empty_positions_give_an_empty_dataset(self, indices):
+        sub = self.data.subset(indices)
+        assert len(sub) == 0 and sub.dimension == 1
+
+
 def split(data, spec, rng):
     train_idx, test_idx = split_indices(data, spec, rng)
     return data.subset(train_idx), data.subset(test_idx)

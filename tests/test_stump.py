@@ -144,6 +144,70 @@ class TestMatchesLoop:
         assert_same_stump(np.array([[2.0, -1.0]]), np.array([NEGATIVE]), np.array([0.5]))
 
 
+class TestTieOrder:
+    """At n >= 1000 numpy's default argsort leaves runs of equal values out of
+    position order. The search restores that order, because the order inside
+    a run decides the bits of the weight sums below each boundary."""
+
+    N = 1200
+
+    def columns(self, rng):
+        n = self.N
+        half = rng.normal(size=n // 2)
+        tied = {
+            "grid": rng.integers(0, 4, size=n).astype(float),   # runs of about 300
+            "signed-zero": rng.choice([-5e-324, -0.0, 0.0, 5e-324], size=n),
+            "duplicated-row": np.concatenate([half, half])[rng.permutation(n)],
+        }
+        for col in tied.values():   # the restore has something to do
+            assert not np.array_equal(np.argsort(col), np.argsort(col, kind="stable"))
+        # the grid's runs spread apart: the same rows below each grid boundary,
+        # added in another order, so rounding decides between the two features
+        distinct = tied["grid"] + 0.5 * rng.random(n)
+        assert len(np.unique(distinct)) == n
+        return tied, distinct
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_same_stump_as_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        tied, distinct = self.columns(rng)
+        w = make_weights("decimal", self.N, rng)
+        y = np.where(tied["grid"] >= 2, POSITIVE, NEGATIVE)
+        assert_same_stump(np.column_stack([*tied.values(), distinct]), y, w)
+        y = np.where(rng.random(self.N) < 0.3, POSITIVE, NEGATIVE)
+        for col in tied.values():
+            assert_same_stump(col[:, None], y, w)
+        assert_same_stump(distinct[:, None], y, w)   # no tie anywhere
+
+
+class TestLayout:
+    """C-order, Fortran-order and strided copies of X give the same stump."""
+
+    @staticmethod
+    def layouts(X):
+        strided = np.zeros((2 * X.shape[0], 3 * X.shape[1]))
+        strided[::2, ::3] = X
+        return np.ascontiguousarray(X), np.asfortranarray(X), strided[::2, ::3]
+
+    @pytest.mark.parametrize("case", ["signed-zero", "random"])
+    def test_same_stump_in_every_layout(self, case):
+        if case == "signed-zero":   # feature 1 wins with the threshold -0.0
+            X = np.array([[3.0, -5e-324], [3.0, 0.0], [3.0, 5e-324]])
+            y = np.array([NEGATIVE, POSITIVE, POSITIVE])
+            w = np.array([1.0, 0.0, 1.0])
+        else:
+            rng = np.random.default_rng(3)
+            X = np.column_stack([rng.normal(size=500), rng.integers(0, 5, size=(500, 3))])
+            y = np.where(rng.random(500) < 0.3, POSITIVE, NEGATIVE)
+            w = make_weights("decimal", 500, rng)
+        results = [fit_stump_params(Xl, y, w) for Xl in self.layouts(X)]
+        assert all(r == results[0] for r in results)
+        assert len({math.copysign(1.0, r[1]) for r in results}) == 1
+        if case == "signed-zero":
+            assert results[0] == (1, 0.0, 1) and math.copysign(1.0, results[0][1]) == -1.0
+        assert_same_stump(X, y, w)
+
+
 class TestInputValidation:
     """Each case was accepted before and returned a meaningless stump or a
     misleading error."""
