@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, NEGATIVE, POSITIVE, RandomSource, _integer, partition_by_class
+from .data import Dataset, NEGATIVE, POSITIVE, RandomSource, _integer
 from .entropy import fit_gnb, log_joint
 from .pruning import _NeighbourLists, double_pruning, nearest_rows, smote_interpolate
 
@@ -33,8 +33,6 @@ def heuristic_tmax(n_majority: int, n_minority: int, k: int) -> int:
     """Iteration count that closes the class gap at 2k per round: at least 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n_majority < n_minority:
-        raise ValueError("majority count must be >= minority count")
     return max(1, math.ceil((n_majority - n_minority) / (2 * k)))
 
 
@@ -290,7 +288,8 @@ def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSo
     one per row in row order; only the double-pruning rebalancer writes
     records, so the list is empty for the other rebalancers.
     """
-    partition_by_class(train)  # validates both classes present
+    if not (train.n_positive and train.n_negative):
+        raise ValueError("fit_boosted requires both classes present")
     N = len(train)
     w = np.full(N, 1.0 / N)
     min_idx = np.flatnonzero(train.y == POSITIVE)

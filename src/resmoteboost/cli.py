@@ -13,8 +13,7 @@ import json
 import math
 import sys
 
-from .data import (Dataset, imbalance_ratio, load_csv, make_gaussian_blobs,
-                   partition_by_class, save_csv)
+from .data import Dataset, load_csv, make_gaussian_blobs, save_csv
 from .experiment import ExperimentConfig, METHODS, run_experiment
 from .metrics import overlap_feature_count
 
@@ -71,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_gen(args) -> int:
     data = make_gaussian_blobs(args.n_maj, args.n_min, args.dim, args.sep, args.seed)
     save_csv(data, args.out)
-    ir = imbalance_ratio(partition_by_class(data))
+    ir = data.n_negative / data.n_positive
     print(f"wrote {len(data)} samples to {args.out} (IR {ir:.2f})")
     return 0
 
@@ -97,9 +96,7 @@ def cmd_run(args) -> int:
     data = load_csv(args.data, args.label_column, args.positive_label)
     k = args.k
     if args.k_fraction is not None:
-        part = partition_by_class(data)
-        gap = len(part.majority) - len(part.minority)
-        scaled = args.k_fraction * gap
+        scaled = args.k_fraction * (data.n_negative - data.n_positive)
         if not (args.k_fraction > 0 and math.isfinite(args.k_fraction)
                 and math.isfinite(scaled)):   # round(inf) raises OverflowError
             raise ValueError(f"--k-fraction must be > 0 and finite, got {args.k_fraction}")

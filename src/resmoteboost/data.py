@@ -1,9 +1,7 @@
 """Dataset container, CSV ingestion, splitting, and synthetic blob generation.
 
 Label convention: the minority class is the positive class, encoded +1; the
-majority class is negative, encoded -1. This convention is enforced by
-:func:`partition_by_class`, which swaps roles (and records the swap) when the
-positives outnumber the negatives.
+majority class is negative, encoded -1.
 """
 
 from __future__ import annotations
@@ -232,11 +230,6 @@ class ClassPartition:
 
     majority: Dataset
     minority: Dataset
-    swapped: bool = False
-
-    def __post_init__(self):
-        if len(self.majority) < len(self.minority):
-            raise ValueError("majority partition smaller than minority")
 
 
 def load_csv(path, label_column, positive_label) -> Dataset:
@@ -313,30 +306,16 @@ def save_csv(data: Dataset, path, label_column="label") -> None:
 
 
 def partition_by_class(data: Dataset) -> ClassPartition:
-    """Split into majority/minority halves, swapping roles if needed.
-
-    If the positives outnumber the negatives, labels are swapped so the
-    minority is always positive; the swap is recorded in source_tag.
-    """
+    """Split into the majority (negative) and minority (positive) halves."""
     pos_idx = np.flatnonzero(data.y == POSITIVE)
     neg_idx = np.flatnonzero(data.y == NEGATIVE)
     if len(pos_idx) == 0 or len(neg_idx) == 0:
         raise ValueError("partition_by_class requires both classes present")
-    swapped = len(pos_idx) > len(neg_idx)
-    if swapped:
-        tag = (data.source_tag + ";" if data.source_tag else "") + "label-roles-swapped"
-        majority = Dataset(data.X[pos_idx], np.full(len(pos_idx), NEGATIVE),
-                           feature_names=data.feature_names, source_tag=tag)
-        minority = Dataset(data.X[neg_idx], np.full(len(neg_idx), POSITIVE),
-                           feature_names=data.feature_names, source_tag=tag)
-    else:
-        majority = data.subset(neg_idx)
-        minority = data.subset(pos_idx)
-    return ClassPartition(majority=majority, minority=minority, swapped=swapped)
+    return ClassPartition(majority=data.subset(neg_idx), minority=data.subset(pos_idx))
 
 
 def imbalance_ratio(partition: ClassPartition) -> float:
-    """|majority| / |minority|; always >= 1 for a valid partition."""
+    """|majority| / |minority|; below 1 when the positives outnumber the negatives."""
     if len(partition.minority) == 0:
         raise ValueError("imbalance ratio undefined for empty minority")
     return len(partition.majority) / len(partition.minority)

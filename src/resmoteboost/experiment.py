@@ -9,7 +9,7 @@ are aggregated across replications with mean and sample standard deviation.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -98,8 +98,7 @@ def resample_train(train: Dataset, cfg: ExperimentConfig, rng: RandomSource) -> 
 
 
 def _boost_config(train: Dataset, cfg: ExperimentConfig) -> BoostConfig:
-    part = partition_by_class(train)
-    n_maj, n_min = len(part.majority), len(part.minority)
+    n_maj, n_min = train.n_negative, train.n_positive
     k = cfg.k if cfg.k is not None else default_k(n_maj, n_min)
     t_max = heuristic_tmax(n_maj, n_min, k) if cfg.t_max == "heuristic" else cfg.t_max
     return BoostConfig(
@@ -113,7 +112,14 @@ def _boost_config(train: Dataset, cfg: ExperimentConfig) -> BoostConfig:
 
 def train_and_score(train: Dataset, test: Dataset, cfg: ExperimentConfig,
                     rng: RandomSource, capture: dict | None = None):
-    """Fit the configured method and return (predictions, scores, model_info)."""
+    """Fit the configured method and return (predictions, scores, model_info).
+
+    A training split with more positive than negative rows has no gap to
+    close: it runs the method without resampling (plain_boost for a boosting
+    method, none for a data-level one), and model_info says so."""
+    skipped = train.n_positive > train.n_negative and cfg.method not in ("none", "plain_boost")
+    if skipped:
+        cfg = replace(cfg, method="plain_boost" if cfg.method in BOOSTING_METHODS else "none")
     factory = make_learner_factory(cfg.base_learner)
     if cfg.method in BOOSTING_METHODS:
         bcfg = _boost_config(train, cfg)
@@ -132,6 +138,8 @@ def train_and_score(train: Dataset, test: Dataset, cfg: ExperimentConfig,
         scores = learner.score(test.X)
         info = {"train_size_before_resampling": len(train),
                 "train_size_after_resampling": len(resampled)}
+    if skipped:
+        info["resampling_skipped"] = True
     # every model's predict: a zero margin resolves to the negative class
     return np.where(scores > 0, POSITIVE, NEGATIVE), scores, info
 

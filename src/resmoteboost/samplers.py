@@ -10,13 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import ClassPartition, Dataset, RandomSource
+from .data import ClassPartition, Dataset, RandomSource, _integer
 from .pruning import _with_synthetics, nearest_rows, smote_interpolate
+
+
+def _check_size(name: str, value) -> None:
+    if not _integer(value) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def smote(partition: ClassPartition, n_new: int, k_neighbors: int, rng: RandomSource) -> Dataset:
     """Classic SMOTE: each synthetic interpolates a random minority seed toward
     one of its k nearest minority neighbors. Returns minority + synthetics."""
+    _check_size("n_new", n_new)
     minority = partition.minority
     seeds = rng.integers(0, len(minority), size=n_new)
     rows = smote_interpolate(minority.X, len(seeds), k_neighbors, rng, seeds)[0]
@@ -39,6 +45,7 @@ def borderline_smote(partition: ClassPartition, n_new: int, k_neighbors: int,
     DANGER set, minority points with at least half but not all of their k
     full-set neighbors in the majority class. Falls back to the whole
     minority when no point is in danger."""
+    _check_size("n_new", n_new)
     minority = partition.minority
     counts = _majority_neighbor_counts(partition, k_neighbors)
     k_eff = min(k_neighbors, len(partition.majority) + len(minority) - 1)
@@ -54,6 +61,7 @@ def adasyn(partition: ClassPartition, n_new: int, k_neighbors: int,
            rng: RandomSource) -> Dataset:
     """ADASYN: allocate synthetics per seed proportionally to the fraction of
     majority neighbors around it, so harder minority points get more."""
+    _check_size("n_new", n_new)
     minority = partition.minority
     counts = _majority_neighbor_counts(partition, k_neighbors)
     k_eff = min(k_neighbors, len(partition.majority) + len(minority) - 1)
@@ -92,6 +100,7 @@ def tomek_links(partition: ClassPartition) -> Dataset:
 
 def random_under(partition: ClassPartition, n_remove: int, rng: RandomSource) -> Dataset:
     """Uniformly remove n_remove majority samples; returns the reduced majority."""
+    _check_size("n_remove", n_remove)
     majority = partition.majority
     if n_remove >= len(majority):
         raise ValueError("cannot remove the whole majority class")

@@ -31,6 +31,10 @@ class TestHeuristicTmax:
     def test_balanced_floor(self):
         assert heuristic_tmax(50, 50, 5) == 1
 
+    def test_no_gap_floor(self):
+        # a training split with more positives than negatives has no gap to close
+        assert heuristic_tmax(16, 17, 1) == 1
+
     def test_bad_k(self):
         with pytest.raises(ValueError):
             heuristic_tmax(10, 5, 0)
@@ -195,10 +199,10 @@ class TestFitBoosted:
         assert w2[wrong].min() > w2[~wrong].max()
 
     def test_single_class_errors(self):
-        X = np.zeros((6, 1))
-        y = np.full(6, NEGATIVE)
-        with pytest.raises(ValueError):
-            fit_boosted(Dataset(X, y), BoostConfig(t_max=3), DecisionStump, RandomSource(0))
+        for label in (NEGATIVE, POSITIVE):
+            with pytest.raises(ValueError, match="both classes present"):
+                fit_boosted(Dataset(np.zeros((6, 1)), np.full(6, label)), BoostConfig(t_max=3),
+                            DecisionStump, RandomSource(0))
 
 
 class TestEnsemblePrediction:

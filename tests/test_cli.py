@@ -39,6 +39,11 @@ class TestGen:
         run_cli(["gen", "--n-maj", "30", "--n-min", "10", "--seed", "4", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
 
+    def test_gen_reports_ir_below_one_when_positives_outnumber(self, tmp_path, capsys):
+        assert run_cli(["gen", "--n-maj", "10", "--n-min", "40",
+                        "--out", str(tmp_path / "g.csv")]) == 0
+        assert capsys.readouterr().out.endswith("(IR 0.25)\n")
+
     def test_bad_count_errors(self, tmp_path, capsys):
         code = run_cli(["gen", "--n-maj", "0", "--n-min", "5",
                         "--out", str(tmp_path / "x.csv")])
@@ -126,6 +131,19 @@ class TestRun:
         assert code == 1
         assert err.startswith("error: the positive class (60 rows) outnumbers")
         assert "--positive-label" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_positive_majority_with_k_fraction_errors_in_one_line(self, blob_csv, tmp_path,
+                                                                  capsys):
+        # the gap is negative here; k is still converted, and the run still refuses
+        out = tmp_path / "o.json"
+        code = run_cli(["run", "--data", str(blob_csv), "--positive-label", "neg",
+                        "--method", "re_smoteboost", "--k-fraction", "0.5",
+                        "--replications", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: the positive class (60 rows) outnumbers")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def run_cv(self, blob_csv, tmp_path, *extra):

@@ -81,15 +81,18 @@ class TestPartition:
         part = partition_by_class(Dataset(X, y))
         assert len(part.majority) == 7
         assert len(part.minority) == 3
-        assert not part.swapped
 
     def test_role_swap(self):
-        X = np.zeros((10, 1))
+        # positives outnumber negatives: roles are not swapped, majority
+        # still means the negative rows
+        X = np.arange(10.0).reshape(10, 1)
         y = np.array([NEGATIVE] * 3 + [POSITIVE] * 7)
-        part = partition_by_class(Dataset(X, y))
-        assert len(part.majority) == 7
-        assert part.swapped
-        assert "swap" in part.majority.source_tag
+        part = partition_by_class(Dataset(X, y, source_tag="t"))
+        np.testing.assert_array_equal(part.majority.X[:, 0], [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(part.majority.y, np.full(3, NEGATIVE))
+        np.testing.assert_array_equal(part.minority.y, np.full(7, POSITIVE))
+        assert part.majority.source_tag == part.minority.source_tag == "t"
+        assert imbalance_ratio(part) == pytest.approx(3 / 7)
 
     def test_single_class_errors(self):
         X = np.zeros((5, 1))
@@ -111,7 +114,7 @@ class TestImbalanceRatio:
 
     def test_balanced(self):
         data = make_gaussian_blobs(100, 100, 2, 1.0, 0)
-        # equal sizes: no swap, ratio exactly 1
+        # equal sizes: ratio exactly 1
         assert imbalance_ratio(partition_by_class(data)) == 1.0
 
 

@@ -13,7 +13,8 @@ from resmoteboost import (Dataset, ExperimentConfig, NEGATIVE, POSITIVE, RandomS
                           make_gaussian_blobs, mix_seed, run_experiment, run_replication,
                           split_indices)
 from resmoteboost.boosting import LEARNER_TYPES
-from resmoteboost.experiment import DATA_LEVEL_METHODS, METHODS, _fold_indices
+from resmoteboost.experiment import (BOOSTING_METHODS, DATA_LEVEL_METHODS, METHODS,
+                                    _fold_indices)
 
 
 @pytest.mark.parametrize("folds", [-2, 0, 1])
@@ -73,7 +74,7 @@ def test_cv_folds_above_smaller_class_rejected_before_any_fold():
 
 
 def test_positive_majority_rejected_before_any_replication(started_replications):
-    # the data-level methods would resample with the class roles swapped
+    # the positive label must name the minority class
     data = make_gaussian_blobs(300, 60, 2, 2.5, 0)
     with pytest.raises(ValueError, match=r"positive class \(300 rows\) outnumbers the "
                                          r"negative class \(60 rows\).*--positive-label"):
@@ -81,6 +82,44 @@ def test_positive_majority_rejected_before_any_replication(started_replications)
     assert started_replications == []
     run_experiment(make_gaussian_blobs(20, 20, 2, 2.5, 0), ExperimentConfig(replications=2))
     assert started_replications == [0, 1]   # equal class sizes run
+
+
+@pytest.fixture(scope="module")
+def near_balanced_reports():
+    """Every method on 21/20 blobs with unstratified splits: some training
+    splits hold more positive than negative rows."""
+    data = make_gaussian_blobs(21, 20, 2, 3.0, 0)
+    return {m: run_experiment(data, ExperimentConfig(method=m, base_learner="gnb",
+                                                     stratified=False, replications=20,
+                                                     seed=42))
+            for m in METHODS}
+
+
+@pytest.mark.parametrize("method", [m for m in METHODS if m not in ("none", "plain_boost")])
+def test_positive_majority_training_split_resamples_nothing(near_balanced_reports, method):
+    plain = "plain_boost" if method in BOOSTING_METHODS else "none"
+    report, reference = near_balanced_reports[method], near_balanced_reports[plain]
+    routed = [r for r in report["replications"] if r["model"].get("resampling_skipped")]
+    assert routed, "some unstratified training split should hold more positives"
+    data = make_gaussian_blobs(21, 20, 2, 3.0, 0)
+    for rep in report["replications"]:
+        train = np.setdiff1d(np.arange(len(data)), rep["test_indices"])
+        more_positives = (data.y[train] == POSITIVE).sum() > (data.y[train] == NEGATIVE).sum()
+        assert bool(rep["model"].get("resampling_skipped")) == more_positives
+    for rep in routed:
+        same = reference["replications"][rep["replication"]]
+        model = dict(rep["model"])
+        assert model.pop("resampling_skipped") is True
+        assert (rep["metrics"], model) == (same["metrics"], same["model"])
+    assert report["config"]["method"] == method
+
+
+def test_no_method_inverts_the_labels(near_balanced_reports):
+    for method, report in near_balanced_reports.items():
+        accuracies = [r["metrics"]["positive_class"]["accuracy"] for r in report["replications"]]
+        assert min(accuracies) >= 0.2, method
+    assert not any("resampling_skipped" in r["model"] for m in ("none", "plain_boost")
+                   for r in near_balanced_reports[m]["replications"])
 
 
 @pytest.mark.parametrize("stratified", [True, False])

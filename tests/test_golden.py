@@ -49,11 +49,13 @@ def report_digest(data: Dataset, drop=(), **config) -> str:
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
-# Fresh pools and k-fold CV, on a few cases. CV replications are compared
-# without their `seed` and `test_indices`, which record the fold, not a result.
+# Fresh pools, k-fold CV and unstratified splits, on a few cases. CV
+# replications are compared without their `seed` and `test_indices`, which
+# record the fold, not a result.
 VARIANTS = {
     "fresh": {"fresh_pools": True},
     "cv": {"cv_folds": 3, "drop": ("seed", "test_indices")},
+    "nostrat": {"stratified": False},
 }
 VARIANT_CASES = [(n, m, b) for n in ("blobs-a", "dup-grid")
                  for m, b in (("re_smoteboost", "stump"), ("re_smoteboost", "knn"),
@@ -145,6 +147,14 @@ GOLDEN = {
     "dup-grid/re_smoteboost/knn/cv": "6802af5b5e925d9d0bdface9a24e75799b97355e61361c7a301879c2fac8199e",
     "dup-grid/smoteboost/gnb/cv": "131276685302e6dc5b5de90325f2c66abad6f6eaeb448a882f7256a282bd0a21",
     "dup-grid/smote/gnb/cv": "8d95341ddef395848b1351bb33c0b32dbe2e90a5e1ad86bf97c6ca583ac42b84",
+    "blobs-a/re_smoteboost/stump/nostrat": "d8f7d4a8b458815551fcf4d39905d9ec5f033496f396ed9474bebe0e73ed88e7",
+    "blobs-a/re_smoteboost/knn/nostrat": "1cf37a48d96d659a6dfef7d6f70d140dcd9e91362a14ae019d7d21422475fe84",
+    "blobs-a/smoteboost/gnb/nostrat": "39f76f37ddf6aa2d2cf83cbd994428694f8c5de945ea204ba88d85929b784a3a",
+    "blobs-a/smote/gnb/nostrat": "a0b29e506e6fdb29b9423401a7ffe2b4dafe10ebbe1883bb476a0f23f7712fb1",
+    "dup-grid/re_smoteboost/stump/nostrat": "8258887d72c2422a25c0c5d69cb9578196583c51fed5b3a5c094b34c1c9238d3",
+    "dup-grid/re_smoteboost/knn/nostrat": "e621901ba255059c6150f40b8bd86840151a87641007b25b07e0062f29fe6421",
+    "dup-grid/smoteboost/gnb/nostrat": "e6d9259dbedaf98c507a30141aad1f1a57071b63dbace67cef5347a95f5f29e9",
+    "dup-grid/smote/gnb/nostrat": "de19137e9c8c11194dde3be698575409068bda1f8317d28ab6e4844e9b382b79",
 }
 
 

@@ -214,3 +214,27 @@ class TestRandomUnder:
         part = blob_partition(n_maj=10, n_min=5)
         with pytest.raises(ValueError):
             random_under(part, 10, RandomSource(0))
+
+
+SIZED = {
+    "smote": lambda part, n, rng: smote(part, n, 5, rng),
+    "borderline_smote": lambda part, n, rng: borderline_smote(part, n, 5, rng),
+    "adasyn": lambda part, n, rng: adasyn(part, n, 5, rng),
+    "random_under": random_under,
+}
+
+
+class TestSizeValidation:
+    @pytest.mark.parametrize("name", sorted(SIZED))
+    @pytest.mark.parametrize("size", [-3, -2, 2.5, True, "4"])
+    def test_bad_size_rejected(self, name, size):
+        arg = "n_remove" if name == "random_under" else "n_new"
+        with pytest.raises(ValueError, match=f"{arg} must be an integer >= 0, got {size!r}"):
+            SIZED[name](blob_partition(30, 10), size, RandomSource(0))
+
+    @pytest.mark.parametrize("name", sorted(SIZED))
+    def test_numpy_integer_size_accepted(self, name):
+        part = blob_partition(30, 10)
+        a = SIZED[name](part, np.int64(4), RandomSource(0))
+        b = SIZED[name](part, 4, RandomSource(0))
+        np.testing.assert_array_equal(a.X, b.X)
