@@ -7,27 +7,19 @@ class with the regularization and noise-filter gates visible in the stats.
 
 import numpy as np
 
-from resmoteboost import (
-    RandomSource,
-    double_pruning,
-    imbalance_ratio,
-    make_gaussian_blobs,
-    partition_by_class,
-)
+from resmoteboost import NEGATIVE, POSITIVE, RandomSource, double_pruning, make_gaussian_blobs
 
 
 def main():
     data = make_gaussian_blobs(n_majority=366, n_minority=193, d=2,
                                separation=2.0, seed=7)
-    part = partition_by_class(data)
-    print(f"before: majority={len(part.majority)} minority={len(part.minority)} "
-          f"IR={imbalance_ratio(part):.2f}")
+    majority, minority = data.X[data.y == NEGATIVE], data.X[data.y == POSITIVE]
+    print(f"before: majority={len(majority)} minority={len(minority)} "
+          f"IR={len(majority) / len(minority):.2f}")
 
     stats = {}
-    keep, rows = double_pruning(part.majority, part.minority, 90, 5,
-                                RandomSource(0), stats=stats)
-    print(f"after one k=90 step: majority={len(keep)} "
-          f"minority={len(part.minority) + len(rows)}")
+    keep, rows = double_pruning(majority, minority, 90, 5, RandomSource(0), stats=stats)
+    print(f"after one k=90 step: majority={len(keep)} minority={len(minority) + len(rows)}")
     print(f"roulette spins={stats['spins']} accepted={stats['accepted']} "
           f"retained after noise filter={stats['retained']}")
 

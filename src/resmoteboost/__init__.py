@@ -7,7 +7,6 @@ from .data import (
     POSITIVE,
     RandomSource,
     SplitSpec,
-    imbalance_ratio,
     load_csv,
     make_gaussian_blobs,
     mix_seed,
@@ -42,10 +41,6 @@ from .boosting import (
     make_learner_factory,
 )
 from .metrics import (
-    ConfusionMatrix,
-    MetricReport,
-    OverlapReport,
-    ReplicationSummary,
     binary_metrics,
     confusion,
     fisher_ratio,

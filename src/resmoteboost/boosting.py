@@ -135,7 +135,7 @@ class GaussianNBLearner:
         self.model = None
 
     def fit(self, X, y, w):
-        self.model = fit_gnb(Dataset(X, y), weights=w, var_smoothing=_GNB_VAR_SMOOTHING)
+        self.model = fit_gnb(X, y, weights=w, var_smoothing=_GNB_VAR_SMOOTHING)
         return self
 
     def score(self, X):
@@ -256,19 +256,18 @@ def _rebalance(train: Dataset, maj_idx, min_idx, syn_X, cfg: BoostConfig,
             audit["removed"] = int(n_remove)
         return maj_idx, syn_X
 
-    minority = Dataset(np.vstack([train.X[min_idx], syn_X]),
-                       np.full(len(min_idx) + len(syn_X), POSITIVE))
+    minority = np.vstack([train.X[min_idx], syn_X])
     if len(minority) < 2:
         return maj_idx, syn_X
     if cfg.rebalancer == "smote":
         if cfg.k >= 1:
-            points = smote_interpolate(minority.X, cfg.k, cfg.k_neighbors, rng)[0]
+            points = smote_interpolate(minority, cfg.k, cfg.k_neighbors, rng)[0]
             syn_X = np.vstack([syn_X, points])
             audit["added"] = cfg.k
     else:  # double_pruning
         k_eff = min(cfg.k, len(maj_idx) - 1)
         if k_eff >= 1:
-            keep, rows = double_pruning(train.subset(maj_idx), minority, k_eff,
+            keep, rows = double_pruning(train.X[maj_idx], minority, k_eff,
                                         cfg.k_neighbors, rng, stats=audit)
             maj_idx = maj_idx[keep]
             syn_X = np.vstack([syn_X, rows])

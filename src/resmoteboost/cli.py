@@ -151,14 +151,13 @@ def cmd_run(args) -> int:
 def cmd_compare_overlap(args) -> int:
     a = load_csv(args.data_a, args.label_column, args.positive_label)
     b = load_csv(args.data_b, args.label_column, args.positive_label)
-    report = overlap_feature_count(a, b)
-    payload = report.to_json()
+    payload = overlap_feature_count(a, b)
     payload["data_a"] = args.data_a
     payload["data_b"] = args.data_b
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-    print(f"wrote {args.out} (A smaller on {report.count_a_smaller}, "
-          f"B smaller on {report.count_b_smaller}, ties {report.ties})")
+    print(f"wrote {args.out} (A smaller on {payload['count_a_smaller']}, "
+          f"B smaller on {payload['count_b_smaller']}, ties {payload['ties']})")
     return 0
 
 

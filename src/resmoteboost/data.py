@@ -226,10 +226,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Majority (negative) and minority (positive) halves of a dataset."""
+    """The feature rows of a dataset's majority (negative) and minority
+    (positive) classes, each in dataset order."""
 
-    majority: Dataset
-    minority: Dataset
+    majority: np.ndarray
+    minority: np.ndarray
 
 
 def load_csv(path, label_column, positive_label) -> Dataset:
@@ -306,19 +307,10 @@ def save_csv(data: Dataset, path, label_column="label") -> None:
 
 
 def partition_by_class(data: Dataset) -> ClassPartition:
-    """Split into the majority (negative) and minority (positive) halves."""
-    pos_idx = np.flatnonzero(data.y == POSITIVE)
-    neg_idx = np.flatnonzero(data.y == NEGATIVE)
-    if len(pos_idx) == 0 or len(neg_idx) == 0:
+    """The feature rows of the majority (negative) and minority (positive) classes."""
+    if not (data.n_positive and data.n_negative):
         raise ValueError("partition_by_class requires both classes present")
-    return ClassPartition(majority=data.subset(neg_idx), minority=data.subset(pos_idx))
-
-
-def imbalance_ratio(partition: ClassPartition) -> float:
-    """|majority| / |minority|; below 1 when the positives outnumber the negatives."""
-    if len(partition.minority) == 0:
-        raise ValueError("imbalance ratio undefined for empty minority")
-    return len(partition.majority) / len(partition.minority)
+    return ClassPartition(majority=data.X[data.y == NEGATIVE], minority=data.X[data.y == POSITIVE])
 
 
 def _n_train(spec: SplitSpec, size: int) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, NEGATIVE, POSITIVE
+from .data import NEGATIVE, POSITIVE
 
 _CLASSES = (NEGATIVE, POSITIVE)  # row order inside the model arrays
 
@@ -33,41 +33,48 @@ class GaussianNBModel:
             raise ValueError("variances must be >= smoothing > 0")
 
 
-def fit_gnb(data: Dataset, weights=None, var_smoothing: float = 1e-9) -> GaussianNBModel:
-    """Fit per-class priors and per-feature Gaussian moments.
+def fit_gnb(X, y, weights=None, var_smoothing: float = 1e-9) -> GaussianNBModel:
+    """Fit per-class priors and per-feature Gaussian moments to the rows of
+    X, labelled +1 or -1 by y.
 
     Moments use the population convention (divide by total weight). The
     smoothing floor added to every variance is var_smoothing times the largest
     per-feature variance of the pooled data, matching the usual NB stabilizer;
     `var_smoothing` is exposed because the NB base classifier uses 1.0 while
-    entropy scoring uses a tiny default. Moments that overflow raise
-    ValueError.
+    entropy scoring uses a tiny default. Non-finite features and moments
+    that overflow raise ValueError.
     """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    if y.shape != (len(X),):
+        raise ValueError(f"y shape {y.shape} does not match {len(X)} samples")
+    if not np.all((y == POSITIVE) | (y == NEGATIVE)):
+        raise ValueError("labels must be +1 or -1")
     if weights is None:
-        weights = np.ones(len(data))
+        weights = np.ones(len(X))
     else:
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(data),):
+        if weights.shape != (len(X),):
             raise ValueError("weights length must match dataset size")
-        if np.any(weights < 0):
-            raise ValueError("weights must be non-negative")
+        if not np.all(np.isfinite(weights) & (weights >= 0)):   # NaN fails both
+            raise ValueError("weights must be finite and non-negative")
 
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        pooled_var = np.var(data.X, axis=0)
-        max_var = float(pooled_var.max()) if data.dimension else 0.0
+        pooled_var = np.var(X, axis=0)
+        max_var = float(pooled_var.max()) if X.shape[1] else 0.0
         epsilon = var_smoothing * max_var if max_var > 0 else max(var_smoothing, 1e-12)
 
         priors = np.empty(2)
-        means = np.empty((2, data.dimension))
-        variances = np.empty((2, data.dimension))
+        means = np.empty((2, X.shape[1]))
+        variances = np.empty((2, X.shape[1]))
         total = 0.0
         for row, cls in enumerate(_CLASSES):
-            mask = data.y == cls
+            mask = y == cls
             w = weights[mask]
             w_sum = float(w.sum())
             if w_sum <= 0:
                 raise ValueError("each class needs positive total weight")
-            Xc = data.X[mask]
+            Xc = X[mask]
             dev = w[:, None] * Xc
             mu = dev.sum(axis=0) / w_sum
             # the weighted squared deviations w (x - mu)^2, in place
@@ -81,6 +88,8 @@ def fit_gnb(data: Dataset, weights=None, var_smoothing: float = 1e-9) -> Gaussia
             total += w_sum
     if not (np.isfinite(max_var) and np.all(np.isfinite(means))
             and np.all(np.isfinite(variances))):
+        if not np.all(np.isfinite(X)):   # a non-finite value makes max_var NaN
+            raise ValueError("feature values must be finite")
         raise ValueError("the naive Bayes moments of the features overflowed; "
                          "rescale the features")
     variances += epsilon

@@ -81,20 +81,24 @@ def default_k(n_majority: int, n_minority: int) -> int:
 
 
 def resample_train(train: Dataset, cfg: ExperimentConfig, rng: RandomSource) -> Dataset:
-    """Apply a data-level method to the training set; returns the new train set."""
+    """Apply a data-level method to the training set; returns the new train
+    set: the kept majority rows, the minority rows, then the synthetic rows."""
     if cfg.method == "none":
         return train
     part = partition_by_class(train)
-    gap = len(part.majority) - len(part.minority)
+    majority, synthetic = part.majority, np.empty((0, train.dimension))
+    gap = len(majority) - len(part.minority)
     if cfg.method in ("smote", "borderline_smote", "adasyn"):
-        oversample = getattr(samplers, cfg.method)
-        return part.majority.concat(oversample(part, gap, cfg.k_neighbors, rng))
-    if cfg.method == "tomek_links":
-        return samplers.tomek_links(part)
-    if cfg.method == "random_under":
-        new_maj = samplers.random_under(part, gap, rng)
-        return new_maj.concat(part.minority)
-    raise ValueError(f"not a data-level method: {cfg.method}")
+        synthetic = getattr(samplers, cfg.method)(part, gap, cfg.k_neighbors, rng)
+    elif cfg.method == "tomek_links":
+        majority = majority[samplers.tomek_links(part)]
+    elif cfg.method == "random_under":
+        majority = majority[samplers.random_under(part, gap, rng)]
+    else:
+        raise ValueError(f"not a data-level method: {cfg.method}")
+    y = np.repeat([NEGATIVE, POSITIVE], [len(majority), len(part.minority) + len(synthetic)])
+    return Dataset(np.vstack([majority, part.minority, synthetic]), y,
+                   feature_names=train.feature_names, source_tag=train.source_tag)
 
 
 def _boost_config(train: Dataset, cfg: ExperimentConfig) -> BoostConfig:
@@ -180,12 +184,12 @@ def run_replication(data: Dataset, cfg: ExperimentConfig, index: int,
         train_idx, test_idx = split_indices(data, cfg.split_spec(), rng)
     train, test = data.subset(train_idx), data.subset(test_idx)
     pred, scores, info = train_and_score(train, test, cfg, rng, capture=capture)
-    report = binary_metrics(confusion(pred, test.y))
+    metrics = binary_metrics(confusion(pred, test.y))
     if test.n_positive and test.n_negative:
-        report.auc = roc_auc(scores, test.y)
+        metrics["auc"] = roc_auc(scores, test.y)
     else:
-        report.undefined.append("auc")   # a one-class test split ranks nothing
-    return {"replication": index, "seed": seed_i, "metrics": report.to_json(),
+        metrics["undefined"].append("auc")   # a one-class test split ranks nothing
+    return {"replication": index, "seed": seed_i, "metrics": metrics,
             "model": info, "test_indices": list(map(_index_ints(len(data)).__getitem__,
                                                     test_idx.tolist()))}
 
@@ -194,7 +198,7 @@ def _summary(values, key: str) -> dict:
     """Mean, sample standard deviation and n over the defined (not None) values."""
     values = [v for v in values if v is not None]
     if len(values) >= 2:
-        return replication_stats(values, key).to_json()
+        return replication_stats(values, key)
     return {"metric": key, "mean": values[0] if values else None, "std_dev": None,
             "n": len(values)}
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, POSITIVE, RandomSource, _integer
+from .data import NEGATIVE, POSITIVE, RandomSource, _integer
 from .entropy import entropy_batch, fit_gnb, posterior_batch
 
 _BLOCK = 1 << 14            # distance-matrix entries computed at a time
@@ -50,20 +50,20 @@ class RouletteWheel:
             raise ValueError("cumulative probabilities must be sorted and end at 1")
 
 
-def majority_class_pruning(majority: Dataset, model, k: int) -> np.ndarray:
+def majority_class_pruning(majority, model, k: int) -> np.ndarray:
     """Sorted positions of the majority rows left after removing the k
     lowest-entropy rows under `model`; ties remove the lower position first.
-    The pruned Dataset is majority.subset(keep)."""
+    The pruned rows are majority[keep]."""
     if not _integer(k) or not 0 <= k < len(majority):
         raise ValueError(f"k must be an integer >= 0 and below the majority size "
                          f"{len(majority)}, got {k!r}")
-    ent = entropy_batch(posterior_batch(model, majority.X))
+    ent = entropy_batch(posterior_batch(model, majority))
     order = np.argsort(ent, kind="stable")          # ascending; stable => lower index first
     return np.sort(order[k:])
 
 
-def build_roulette(minority: Dataset, majority: Dataset) -> RouletteWheel:
-    """Fitness-proportionate wheel over minority samples.
+def build_roulette(minority, majority) -> RouletteWheel:
+    """Fitness-proportionate wheel over the minority rows.
 
     Fitness is the reciprocal of the summed Manhattan distance to all
     majority samples, so minority points near the majority distribution (the
@@ -88,12 +88,12 @@ def build_roulette(minority: Dataset, majority: Dataset) -> RouletteWheel:
     """
     if len(minority) == 0 or len(majority) == 0:
         raise ValueError("both classes must be non-empty")
-    n, d = majority.X.shape
-    Z = majority.X.T.copy()     # (d, n), C order: one row per column
+    n, d = majority.shape
+    Z = majority.T.copy()       # (d, n), C order: one row per column
     Z.sort(axis=1)
     c = Z[:, n // 2].copy()
     Z -= c[:, None]             # t -> fl(t - c) is monotone: rows stay sorted
-    A = minority.X.T.copy()
+    A = minority.T.copy()
     A -= c[:, None]
     order = np.argsort(A, axis=1)             # each row's keys searched in order
     p = np.empty(A.shape, dtype=np.intp)
@@ -443,8 +443,8 @@ def noise_filter(candidates, model, k: int):
     return np.argsort(-ent, kind="stable")[: min(k, len(ent))], ent
 
 
-def minority_class_pruning(majority: Dataset, minority: Dataset, k: int, k_neighbors: int,
-                           model, rng: RandomSource, stats: dict | None = None):
+def minority_class_pruning(majority, minority, k: int, k_neighbors: int, model,
+                           rng: RandomSource, stats: dict | None = None):
     """The rows of up to k filtered synthetic minority samples, in
     descending entropy order.
 
@@ -460,7 +460,6 @@ def minority_class_pruning(majority: Dataset, minority: Dataset, k: int, k_neigh
     wheel = build_roulette(minority, majority)
     target = _CANDIDATES_PER_SYNTHETIC * k
     cap = _SPINS_PER_SYNTHETIC * max(k, 1)
-    X = minority.X
     chunks = []   # per chunk, the accepted rows of its candidate arrays
     accepted = spins = 0
     while accepted < target and spins < cap:
@@ -468,12 +467,12 @@ def minority_class_pruning(majority: Dataset, minority: Dataset, k: int, k_neigh
         # would make every spin of this chunk too.
         n = min(target - accepted, cap - spins)
         spins += n
-        C, seeds, nb, alphas = smote_interpolate(X, n, k_neighbors, rng,
+        C, seeds, nb, alphas = smote_interpolate(minority, n, k_neighbors, rng,
                                                   lambda r: _select(wheel, r))
-        dist_min, dist_maj, ok = regularization_accept(C, majority.X, X[seeds])
+        dist_min, dist_maj, ok = regularization_accept(C, majority, minority[seeds])
         chunks.append([a[ok] for a in (C, seeds, nb, alphas, dist_min, dist_maj)])
         accepted += int(ok.sum())
-    rows, records = np.empty((0, X.shape[1])), []
+    rows, records = np.empty((0, minority.shape[1])), []
     if accepted:
         C, seeds, nb, alphas, dist_min, dist_maj = (np.concatenate(a) for a in zip(*chunks))
         order, ent = noise_filter(C, model, k)
@@ -488,19 +487,11 @@ def minority_class_pruning(majority: Dataset, minority: Dataset, k: int, k_neigh
     return rows
 
 
-def _with_synthetics(minority: Dataset, rows) -> Dataset:
-    if len(rows) == 0:
-        return minority
-    syn = Dataset(rows, np.full(len(rows), POSITIVE),
-                  feature_names=minority.feature_names,
-                  source_tag=minority.source_tag)
-    return minority.concat(syn)
-
-
-def double_pruning(majority: Dataset, minority: Dataset, k: int, k_neighbors: int,
-                   rng: RandomSource, stats: dict | None = None):
-    """One balancing step of size k. A single naive Bayes model, fit on
-    majority ∪ minority, scores both the majority rows and the candidates.
+def double_pruning(majority, minority, k: int, k_neighbors: int, rng: RandomSource,
+                   stats: dict | None = None):
+    """One balancing step of size k on the majority and minority feature
+    rows. A single naive Bayes model, fit on the majority rows then the
+    minority rows, scores both the majority rows and the candidates.
 
     Returns (keep, rows): majority_class_pruning's kept positions (all but
     the k lowest-entropy rows) and minority_class_pruning's synthetic rows
@@ -508,6 +499,7 @@ def double_pruning(majority: Dataset, minority: Dataset, k: int, k_neighbors: in
     k = 0 the candidate target is 0, so nothing is removed or added. Inputs
     are never mutated.
     """
-    model = fit_gnb(majority.concat(minority))
+    model = fit_gnb(np.vstack([majority, minority]),
+                    np.repeat([NEGATIVE, POSITIVE], [len(majority), len(minority)]))
     keep = majority_class_pruning(majority, model, k)
     return keep, minority_class_pruning(majority, minority, k, k_neighbors, model, rng, stats)

@@ -15,7 +15,6 @@ import pytest
 from scipy.stats import chisquare
 
 from resmoteboost import (
-    ConfusionMatrix,
     Dataset,
     ExperimentConfig,
     NEGATIVE,
@@ -38,16 +37,16 @@ from resmoteboost.boosting import BoostConfig, DecisionStump
 from resmoteboost.entropy import GaussianNBModel, entropy_batch, posterior_batch
 from resmoteboost.pruning import _select
 
-from test_pruning import grown_minority, pruned_classes, pruned_majority
+from test_pruning import grown_minority, pruned_classes, pruned_majority, stacked
 
 
 def test_criterion_1_metric_oracles():
-    r = binary_metrics(ConfusionMatrix(tp=50, fp=10, fn=5, tn=35))
-    assert r.accuracy == pytest.approx(0.85, abs=1e-4)
-    assert r.precision == pytest.approx(0.83333, abs=1e-4)
-    assert r.recall == pytest.approx(0.90909, abs=1e-4)
-    assert r.f1 == pytest.approx(0.86957, abs=1e-4)
-    assert r.g_means == pytest.approx(0.87042, abs=1e-4)
+    r = binary_metrics({"tp": 50, "fp": 10, "fn": 5, "tn": 35})["positive_class"]
+    assert r["accuracy"] == pytest.approx(0.85, abs=1e-4)
+    assert r["precision"] == pytest.approx(0.83333, abs=1e-4)
+    assert r["recall"] == pytest.approx(0.90909, abs=1e-4)
+    assert r["f1"] == pytest.approx(0.86957, abs=1e-4)
+    assert r["g_means"] == pytest.approx(0.87042, abs=1e-4)
 
 
 def test_criterion_2_entropy_closed_forms():
@@ -78,12 +77,12 @@ def test_criterion_3_randomized_pruning_properties():
         k = int(master.integers(1, 6))
 
         # (a) majority pruning removes exactly the k lowest-entropy samples
-        pool = part.majority.concat(part.minority)
+        pool = stacked(part.majority, part.minority)
         pruned = pruned_majority(part.majority, pool, k)
-        model = fit_gnb(pool)
-        ent = entropy_batch(posterior_batch(model, part.majority.X))
+        model = fit_gnb(*pool)
+        ent = entropy_batch(posterior_batch(model, part.majority))
         keep = np.sort(np.argsort(ent, kind="stable")[k:])
-        np.testing.assert_array_equal(pruned.X, part.majority.X[keep])
+        np.testing.assert_array_equal(pruned, part.majority[keep])
 
         # (b) every retained synthetic obeys the regularization inequality and
         #     lies on a seed->neighbor segment (collinearity residual <= 1e-9)
@@ -93,8 +92,8 @@ def test_criterion_3_randomized_pruning_properties():
         for syn in stats.get("synthetics", []):
             assert syn["dist_min"] <= syn["dist_maj"] + 1e-12
             x = np.array(syn["x"])
-            a = part.minority.X[syn["seed_index"]]
-            b = part.minority.X[syn["neighbor_index"]]
+            a = part.minority[syn["seed_index"]]
+            b = part.minority[syn["neighbor_index"]]
             residual = (np.linalg.norm(x - a) + np.linalg.norm(x - b)
                         - np.linalg.norm(a - b))
             assert abs(residual) <= 1e-9
@@ -126,8 +125,8 @@ def test_criterion_5_roulette_statistics():
     start = time.monotonic()
     # one majority point at 0; minority at 3 and 1 -> fitness (1/3, 1), so the
     # selection probabilities are exactly (0.25, 0.75)
-    majority = Dataset(np.array([[0.0]]), np.array([NEGATIVE]))
-    minority = Dataset(np.array([[3.0], [1.0]]), np.full(2, POSITIVE))
+    majority = np.array([[0.0]])
+    minority = np.array([[3.0], [1.0]])
     wheel = build_roulette(minority, majority)
     np.testing.assert_allclose(wheel.probabilities, [0.25, 0.75], atol=1e-12)
     draws = _select(wheel, RandomSource(17).uniform(size=10_000))
@@ -135,7 +134,7 @@ def test_criterion_5_roulette_statistics():
     assert 0.737 <= freq1 <= 0.763
 
     # 4-seed wheel: chi-squared goodness of fit against the exact probabilities
-    minority4 = Dataset(np.array([[1.0], [2.0], [4.0], [8.0]]), np.full(4, POSITIVE))
+    minority4 = np.array([[1.0], [2.0], [4.0], [8.0]])
     wheel4 = build_roulette(minority4, majority)
     draws4 = _select(wheel4, RandomSource(23).uniform(size=10_000))
     observed = np.bincount(draws4, minlength=4)
@@ -225,7 +224,7 @@ def test_criterion_9_fisher_overlap():
         a = make_gaussian_blobs(40, 20, 6, 1.0, seed)
         b = make_gaussian_blobs(40, 20, 6, 2.0, seed + 50)
         r = overlap_feature_count(a, b)
-        assert r.count_a_smaller + r.count_b_smaller + r.ties == 6
+        assert r["count_a_smaller"] + r["count_b_smaller"] + r["ties"] == 6
     assert time.monotonic() - start < 5.0
 
 

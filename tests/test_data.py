@@ -7,7 +7,6 @@ from resmoteboost import (
     POSITIVE,
     RandomSource,
     SplitSpec,
-    imbalance_ratio,
     load_csv,
     make_gaussian_blobs,
     partition_by_class,
@@ -88,11 +87,9 @@ class TestPartition:
         X = np.arange(10.0).reshape(10, 1)
         y = np.array([NEGATIVE] * 3 + [POSITIVE] * 7)
         part = partition_by_class(Dataset(X, y, source_tag="t"))
-        np.testing.assert_array_equal(part.majority.X[:, 0], [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(part.majority.y, np.full(3, NEGATIVE))
-        np.testing.assert_array_equal(part.minority.y, np.full(7, POSITIVE))
-        assert part.majority.source_tag == part.minority.source_tag == "t"
-        assert imbalance_ratio(part) == pytest.approx(3 / 7)
+        np.testing.assert_array_equal(part.majority[:, 0], [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(part.minority[:, 0], np.arange(3.0, 10.0))
+        assert len(part.majority) / len(part.minority) == pytest.approx(3 / 7)
 
     def test_single_class_errors(self):
         X = np.zeros((5, 1))
@@ -103,19 +100,24 @@ class TestPartition:
     def test_union_preserves_multiset(self):
         data = make_gaussian_blobs(30, 10, 2, 1.0, 3)
         part = partition_by_class(data)
-        merged = np.vstack([part.majority.X, part.minority.X])
+        merged = np.vstack([part.majority, part.minority])
         assert sorted(map(tuple, merged)) == sorted(map(tuple, data.X))
 
 
 class TestImbalanceRatio:
+    @staticmethod
+    def ratio(data):
+        part = partition_by_class(data)
+        return len(part.majority) / len(part.minority)
+
     def test_direct(self):
         data = make_gaussian_blobs(190, 100, 2, 1.0, 0)
-        assert imbalance_ratio(partition_by_class(data)) == pytest.approx(1.90)
+        assert self.ratio(data) == pytest.approx(1.90)
 
     def test_balanced(self):
         data = make_gaussian_blobs(100, 100, 2, 1.0, 0)
         # equal sizes: ratio exactly 1
-        assert imbalance_ratio(partition_by_class(data)) == 1.0
+        assert self.ratio(data) == 1.0
 
 
 class TestSubset:

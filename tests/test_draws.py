@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from resmoteboost import (ExperimentConfig, RandomSource, adasyn, borderline_smote,
                           make_gaussian_blobs, partition_by_class, run_experiment, smote)
-from resmoteboost.pruning import _with_synthetics, smote_interpolate
+from resmoteboost.pruning import smote_interpolate
 from resmoteboost.samplers import _majority_neighbor_counts
 
 from test_nearest import old_smote_interpolate
@@ -97,12 +97,13 @@ class TestRounds:
 
 
 def old_smote(part, n_new, k_neighbors, rng, pick=None):
-    """All seeds first, then one scalar slot and alpha per synthetic."""
+    """All seeds first, then one scalar slot and alpha per synthetic; the
+    synthetic rows."""
     minority = part.minority
     pick = np.arange(len(minority)) if pick is None else pick
     seeds = [int(pick[int(rng.integers(0, len(pick)))]) for _ in range(n_new)]
-    rows = [old_smote_interpolate(minority.X[s], minority, s, k_neighbors, rng)[0] for s in seeds]
-    return np.vstack([minority.X] + rows)
+    rows = [old_smote_interpolate(minority[s], minority, s, k_neighbors, rng)[0] for s in seeds]
+    return np.vstack([minority[:0]] + rows)
 
 
 def old_adasyn_seeds(part, n_new, k_neighbors):
@@ -131,7 +132,7 @@ class TestSamplers:
         part = partition_by_class(make_gaussian_blobs(n_maj, n_min, 2, sep, seed))
         a, b = RandomSource(seed), RandomSource(seed)
         out = smote(part, n_new, k_neighbors, a)
-        assert out.X.tobytes() == old_smote(part, n_new, k_neighbors, b).tobytes()
+        assert out.tobytes() == old_smote(part, n_new, k_neighbors, b).tobytes()
         assert state(a) == state(b)
 
     @settings(max_examples=60, deadline=None)
@@ -145,7 +146,7 @@ class TestSamplers:
             danger = np.arange(len(part.minority))   # the classes swap when n_min > n_maj
         a, b = RandomSource(seed), RandomSource(seed)
         out = borderline_smote(part, n_new, k_neighbors, a)
-        assert out.X.tobytes() == old_smote(part, n_new, k_neighbors, b, danger).tobytes()
+        assert out.tobytes() == old_smote(part, n_new, k_neighbors, b, danger).tobytes()
         assert state(a) == state(b)
 
     @settings(max_examples=60, deadline=None)
@@ -156,9 +157,8 @@ class TestSamplers:
         a, b = RandomSource(seed), RandomSource(seed)
         out = adasyn(part, n_new, k_neighbors, a)
         seeds = old_adasyn_seeds(part, n_new, k_neighbors)
-        want = _with_synthetics(part.minority, smote_interpolate(part.minority.X, len(seeds),
-                                                                 k_neighbors, b, seeds)[0])
-        assert out.X.tobytes() == want.X.tobytes()
+        want = smote_interpolate(part.minority, len(seeds), k_neighbors, b, seeds)[0]
+        assert out.tobytes() == want.tobytes()
         assert state(a) == state(b)
 
 

@@ -33,7 +33,7 @@ class TestFitGnb:
     def test_two_point_moments(self):
         X = np.array([[-1.0], [1.0], [0.5]])
         y = np.array([NEGATIVE, NEGATIVE, POSITIVE])
-        model = fit_gnb(Dataset(X, y))
+        model = fit_gnb(X, y)
         assert model.means[0, 0] == pytest.approx(0.0)
         # population variance of {-1, +1} is 1, plus smoothing
         assert model.variances[0, 0] == pytest.approx(1.0, abs=1e-6)
@@ -41,22 +41,22 @@ class TestFitGnb:
     def test_priors_are_class_frequencies(self):
         X = np.zeros((4, 1)) + np.arange(4)[:, None]
         y = np.array([NEGATIVE, NEGATIVE, NEGATIVE, POSITIVE])
-        model = fit_gnb(Dataset(X, y))
+        model = fit_gnb(X, y)
         assert model.priors[0] == pytest.approx(0.75)
         assert model.priors[1] == pytest.approx(0.25)
 
     def test_constant_feature_gets_smoothing_floor(self):
         X = np.array([[1.0, 5.0], [1.0, 6.0], [1.0, 7.0], [1.0, 8.0]])
         y = np.array([NEGATIVE, NEGATIVE, POSITIVE, POSITIVE])
-        model = fit_gnb(Dataset(X, y))
+        model = fit_gnb(X, y)
         assert np.all(model.variances > 0)
         p = posterior_batch(model, np.array([1.0, 5.5])[None])[0]
         assert math.isfinite(p[0]) and math.isfinite(p[1])
 
     def test_uniform_weights_match_unweighted(self):
         data = make_gaussian_blobs(30, 10, 3, 2.0, 5)
-        a = fit_gnb(data)
-        b = fit_gnb(data, weights=np.full(len(data), 0.7))
+        a = fit_gnb(data.X, data.y)
+        b = fit_gnb(data.X, data.y, weights=np.full(len(data), 0.7))
         np.testing.assert_allclose(a.means, b.means, atol=1e-12)
         np.testing.assert_allclose(a.variances, b.variances, atol=1e-12)
         np.testing.assert_allclose(a.priors, b.priors, atol=1e-12)
@@ -65,13 +65,37 @@ class TestFitGnb:
         X = np.zeros((3, 1))
         y = np.full(3, NEGATIVE)
         with pytest.raises(ValueError):
-            fit_gnb(Dataset(X, y))
+            fit_gnb(X, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_names_the_weights(self, bad):
+        data = make_gaussian_blobs(20, 10, 2, 2.0, 5)
+        w = np.ones(len(data))
+        w[3] = bad
+        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+            fit_gnb(data.X, data.y, weights=w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feature_names_the_features(self, bad):
+        data = make_gaussian_blobs(20, 10, 2, 2.0, 5)
+        X = data.X.copy()
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            fit_gnb(X, data.y)
+
+    @pytest.mark.parametrize("y, message", [
+        (np.array([NEGATIVE, POSITIVE]), r"y shape \(2,\) does not match 3 samples"),
+        (np.array([NEGATIVE, POSITIVE, 0]), r"labels must be \+1 or -1"),
+    ])
+    def test_labels_are_checked(self, y, message):
+        with pytest.raises(ValueError, match=message):
+            fit_gnb(np.zeros((3, 1)), y)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_moments_name_the_cause(self):
         data = make_gaussian_blobs(60, 15, 2, 1.0, 0)
         with pytest.raises(ValueError, match="overflowed; rescale the features"):
-            fit_gnb(Dataset(data.X * 1e307, data.y))
+            fit_gnb(data.X * 1e307, data.y)
 
 
 class TestModelChecks:
@@ -90,7 +114,7 @@ class TestModelChecks:
     def test_nan_smoothing_does_not_fit(self):
         data = make_gaussian_blobs(20, 10, 2, 2.0, 5)
         with pytest.raises(ValueError, match="variances must be >= smoothing > 0"):
-            fit_gnb(data, var_smoothing=float("nan"))
+            fit_gnb(data.X, data.y, var_smoothing=float("nan"))
 
 
 class TestPosterior:
@@ -113,7 +137,7 @@ class TestPosterior:
         rng = np.random.default_rng(0)
         data = Dataset(rng.normal(size=(100, 200)),
                        np.where(rng.random(100) < 0.3, POSITIVE, NEGATIVE))
-        model = fit_gnb(data)
+        model = fit_gnb(data.X, data.y)
         post = posterior_batch(model, data.X * 50.0)
         assert np.all(np.isfinite(post))
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
@@ -163,7 +187,7 @@ class TestScoreEntropy:
 
     def test_permutation_equivariance(self):
         data = make_gaussian_blobs(20, 10, 2, 1.0, 8)
-        model = fit_gnb(data)
+        model = fit_gnb(data.X, data.y)
         ent = entropy_batch(posterior_batch(model, data.X))
         perm = np.random.default_rng(1).permutation(len(data))
         permuted = entropy_batch(posterior_batch(model, data.subset(perm).X))
@@ -171,7 +195,7 @@ class TestScoreEntropy:
 
     def test_matches_composition(self):
         data = make_gaussian_blobs(15, 5, 2, 2.0, 3)
-        model = fit_gnb(data)
+        model = fit_gnb(data.X, data.y)
         post = posterior_batch(model, data.X)
         ent = entropy_batch(post)
         for i in range(len(data)):
@@ -181,7 +205,7 @@ class TestScoreEntropy:
 
     def test_posterior_sums_to_one(self):
         data = make_gaussian_blobs(40, 15, 4, 1.5, 6)
-        model = fit_gnb(data)
+        model = fit_gnb(data.X, data.y)
         post = posterior_batch(model, data.X)
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
 
@@ -224,7 +248,7 @@ class TestKernelArithmetic:
     def test_fit_gnb_moments_are_the_closed_form(self, weighted, seed):
         X, y, rng = extreme_data(seed)
         w = rng.uniform(0.0, 2.0, size=len(y)) if weighted else None
-        model = fit_gnb(Dataset(X, y), weights=w)
+        model = fit_gnb(X, y, weights=w)
         means, variances = moments_oracle(X, y, np.ones(len(y)) if w is None else w)
         assert model.means.tobytes() == means.tobytes()
         assert model.variances.tobytes() == (variances + model.smoothing).tobytes()
@@ -233,7 +257,7 @@ class TestKernelArithmetic:
     @pytest.mark.parametrize("seed", range(8))
     def test_log_joint_is_the_closed_form(self, seed):
         X, y, rng = extreme_data(seed)
-        model = fit_gnb(Dataset(X, y), weights=rng.uniform(0.1, 2.0, size=len(y)))
+        model = fit_gnb(X, y, weights=rng.uniform(0.1, 2.0, size=len(y)))
         queries = np.vstack([X, X[rng.permutation(len(X))] * rng.uniform(0.5, 2.0, size=6)])
         assert log_joint(model, queries).tobytes() == log_joint_oracle(model, queries).tobytes()
         one = log_joint(model, queries[0])

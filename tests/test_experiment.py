@@ -305,3 +305,20 @@ def test_test_split_never_reaches_training(method, learner, cv, n_maj, n_min, da
         assert fitted
         for X in fitted + [capture["X"]]:
             assert not any(row.tobytes() in test_rows for row in X)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("learner", sorted(LEARNER_TYPES))
+def test_one_replication_builds_datasets_only_at_the_edges(monkeypatch, method, learner):
+    # the split's two subsets and the one resampled training set; every step
+    # in between passes arrays
+    built, init = [], Dataset.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(len(args[0]))
+        init(self, *args, **kwargs)
+
+    data = make_gaussian_blobs(48, 12, 2, 1.5, 3)
+    monkeypatch.setattr(Dataset, "__init__", counted)
+    run_replication(data, ExperimentConfig(method=method, base_learner=learner, seed=5), 0)
+    assert len(built) <= 3, built

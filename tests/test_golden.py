@@ -3,8 +3,11 @@
 Every boosting method runs with each base learner and every data-level
 method with naive Bayes, on two small seeded blob datasets and one small
 integer-grid dataset with many duplicate rows. A change that must keep
-results identical leaves every digest here unchanged. A change that alters
-results on purpose explains why and regenerates the table with
+results identical leaves every digest here unchanged. A second table pins
+replication 0's resampled training set, the rows `--dump-resampled` writes:
+report digests do not pin row order, since a learner can score the same on
+reordered rows. A change that alters results on purpose explains why and
+regenerates both tables with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -62,6 +65,17 @@ VARIANT_CASES = [(n, m, b) for n in ("blobs-a", "dup-grid")
                               ("smoteboost", "gnb"), ("smote", "gnb"))]
 
 
+def resampled_digest(data: Dataset, **config) -> str:
+    """sha256 of replication 0's capture: the bytes of X and y, then the
+    synthetics' provenance JSON."""
+    capture = {}
+    run_experiment(data, ExperimentConfig(replications=2, seed=5, **config), capture=capture)
+    digest = hashlib.sha256(capture["X"].tobytes())
+    digest.update(capture["y"].tobytes())
+    digest.update(json.dumps(capture["synthetics"], sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 def compute_digests() -> dict:
     digests = {}
     for name, make in DATASETS.items():
@@ -74,6 +88,11 @@ def compute_digests() -> dict:
             digests[f"{name}/{method}/{base}/{variant}"] = report_digest(
                 DATASETS[name](), method=method, base_learner=base, **config)
     return digests
+
+
+def compute_resampled_digests() -> dict:
+    return {f"{name}/{method}/{base}": resampled_digest(make(), method=method, base_learner=base)
+            for name, make in DATASETS.items() for method, base in CASES}
 
 
 GOLDEN = {
@@ -157,6 +176,63 @@ GOLDEN = {
     "dup-grid/smote/gnb/nostrat": "de19137e9c8c11194dde3be698575409068bda1f8317d28ab6e4844e9b382b79",
 }
 
+RESAMPLED = {
+    "blobs-a/smoteboost/stump": "ea21f21cbd5474a5f1dcaa2aa0d989aa04574e64e7d82529f88d47829d63ffec",
+    "blobs-a/smoteboost/gnb": "ea21f21cbd5474a5f1dcaa2aa0d989aa04574e64e7d82529f88d47829d63ffec",
+    "blobs-a/smoteboost/knn": "ea21f21cbd5474a5f1dcaa2aa0d989aa04574e64e7d82529f88d47829d63ffec",
+    "blobs-a/rusboost/stump": "438f7fd8f39d5135b77465d8e843342f72062b799313b7808a7a0ab5fbf4cbd1",
+    "blobs-a/rusboost/gnb": "438f7fd8f39d5135b77465d8e843342f72062b799313b7808a7a0ab5fbf4cbd1",
+    "blobs-a/rusboost/knn": "438f7fd8f39d5135b77465d8e843342f72062b799313b7808a7a0ab5fbf4cbd1",
+    "blobs-a/re_smoteboost/stump": "351a6e5af47e8c11634e3a76ffc803f9c414745ce4fbb2bcf8b8873907097590",
+    "blobs-a/re_smoteboost/gnb": "351a6e5af47e8c11634e3a76ffc803f9c414745ce4fbb2bcf8b8873907097590",
+    "blobs-a/re_smoteboost/knn": "351a6e5af47e8c11634e3a76ffc803f9c414745ce4fbb2bcf8b8873907097590",
+    "blobs-a/plain_boost/stump": "352d9d16c07288fbc00c38a822a4c46c647f9f0a3a75a9f6e367e08393dbaad1",
+    "blobs-a/plain_boost/gnb": "352d9d16c07288fbc00c38a822a4c46c647f9f0a3a75a9f6e367e08393dbaad1",
+    "blobs-a/plain_boost/knn": "352d9d16c07288fbc00c38a822a4c46c647f9f0a3a75a9f6e367e08393dbaad1",
+    "blobs-a/none/gnb": "352d9d16c07288fbc00c38a822a4c46c647f9f0a3a75a9f6e367e08393dbaad1",
+    "blobs-a/smote/gnb": "410ade2a9a67da038b3054e812f9465c56d539a8c27c09f75f837d5323a60429",
+    "blobs-a/borderline_smote/gnb": "abdf07faad5597629dbd831bb49584686f05e743d8cbc7b246c5b9b9517a57e5",
+    "blobs-a/adasyn/gnb": "0e7cfbfd44220d620ad9f9e7e7fb524de1f5d5d77e91a2679e919674d54e9bff",
+    "blobs-a/tomek_links/gnb": "99c3764edd760e7c58293a5c835fafc2f2338208294b3b02674dd1af2fc78edb",
+    "blobs-a/random_under/gnb": "5e70b2227b7d2721a8e9d6c0515606e01201a4baeed685fb34710b47bc7f7b2f",
+    "blobs-b/smoteboost/stump": "d56590d957e07b9b23f8bee94f80ed4c20d4ad3f95e4a15070891456008d3a5a",
+    "blobs-b/smoteboost/gnb": "d56590d957e07b9b23f8bee94f80ed4c20d4ad3f95e4a15070891456008d3a5a",
+    "blobs-b/smoteboost/knn": "d56590d957e07b9b23f8bee94f80ed4c20d4ad3f95e4a15070891456008d3a5a",
+    "blobs-b/rusboost/stump": "4349de266c60b08681202d8e505115d91c98c3fa6387c98f3852b45f7445f352",
+    "blobs-b/rusboost/gnb": "4349de266c60b08681202d8e505115d91c98c3fa6387c98f3852b45f7445f352",
+    "blobs-b/rusboost/knn": "4349de266c60b08681202d8e505115d91c98c3fa6387c98f3852b45f7445f352",
+    "blobs-b/re_smoteboost/stump": "df2140dd9d8a8b1124266e9ca4e3f8cab9a921b00f57d7ee172b83b069661c24",
+    "blobs-b/re_smoteboost/gnb": "df2140dd9d8a8b1124266e9ca4e3f8cab9a921b00f57d7ee172b83b069661c24",
+    "blobs-b/re_smoteboost/knn": "df2140dd9d8a8b1124266e9ca4e3f8cab9a921b00f57d7ee172b83b069661c24",
+    "blobs-b/plain_boost/stump": "2f776d4524a24756a148eecbaf923bf894218b6736c38198db1185a811e7e233",
+    "blobs-b/plain_boost/gnb": "2f776d4524a24756a148eecbaf923bf894218b6736c38198db1185a811e7e233",
+    "blobs-b/plain_boost/knn": "2f776d4524a24756a148eecbaf923bf894218b6736c38198db1185a811e7e233",
+    "blobs-b/none/gnb": "2f776d4524a24756a148eecbaf923bf894218b6736c38198db1185a811e7e233",
+    "blobs-b/smote/gnb": "f9d16a3d6fcf357db5aded35addfdb17b7a128043d8e011e28405e279b52559b",
+    "blobs-b/borderline_smote/gnb": "7f7da556bd34a8a4efe3b29f2acd51bdf8fe1a86ce270e7c4e5f39ce1cc22cce",
+    "blobs-b/adasyn/gnb": "60a09151ab8a54ff3502fd865fbaefa28db707eb1ea2d843b61c03ea9a346b96",
+    "blobs-b/tomek_links/gnb": "f2802bce40164897c4582b675335732cf7cad55354dff2f49f4004f3d7717e86",
+    "blobs-b/random_under/gnb": "cf69b8204ae423ffabdaac9c1633fa353a4061bfcb40495b80a34aec468a0827",
+    "dup-grid/smoteboost/stump": "173964fa58c89a7a1df40dea780172751cd78aa51852621c2cebb9fcea42ac34",
+    "dup-grid/smoteboost/gnb": "173964fa58c89a7a1df40dea780172751cd78aa51852621c2cebb9fcea42ac34",
+    "dup-grid/smoteboost/knn": "173964fa58c89a7a1df40dea780172751cd78aa51852621c2cebb9fcea42ac34",
+    "dup-grid/rusboost/stump": "32c61cd275a488b64792cca27b4b4b594f3850a6484235d152acb2f56cf1ad82",
+    "dup-grid/rusboost/gnb": "32c61cd275a488b64792cca27b4b4b594f3850a6484235d152acb2f56cf1ad82",
+    "dup-grid/rusboost/knn": "32c61cd275a488b64792cca27b4b4b594f3850a6484235d152acb2f56cf1ad82",
+    "dup-grid/re_smoteboost/stump": "c493de779db07777f37121d4c0e79884d17f1c7c68250a1381bed5d9c74204c2",
+    "dup-grid/re_smoteboost/gnb": "c493de779db07777f37121d4c0e79884d17f1c7c68250a1381bed5d9c74204c2",
+    "dup-grid/re_smoteboost/knn": "c493de779db07777f37121d4c0e79884d17f1c7c68250a1381bed5d9c74204c2",
+    "dup-grid/plain_boost/stump": "a4c37ce3d7aeb9172de70db2408f42d3a31fc9c0764ce2722a7c3a12289ec215",
+    "dup-grid/plain_boost/gnb": "a4c37ce3d7aeb9172de70db2408f42d3a31fc9c0764ce2722a7c3a12289ec215",
+    "dup-grid/plain_boost/knn": "a4c37ce3d7aeb9172de70db2408f42d3a31fc9c0764ce2722a7c3a12289ec215",
+    "dup-grid/none/gnb": "a4c37ce3d7aeb9172de70db2408f42d3a31fc9c0764ce2722a7c3a12289ec215",
+    "dup-grid/smote/gnb": "efcd8948d9123dc1ff2fba9266147b6daf8c1118510ebd687b551c1b225aaf40",
+    "dup-grid/borderline_smote/gnb": "dbdd5cefbfa35ba1926efc7b01945dc279fb6082c4939fd54a1900f790cb026b",
+    "dup-grid/adasyn/gnb": "60d11186cacd6ecacc21dee686a2a689b65bc5deb015e55dd64ac22e81d0bf49",
+    "dup-grid/tomek_links/gnb": "2bd3fc6b3729fffcb334426a9c746dadd69baf4a8ae78a2be188f97cb4f29e79",
+    "dup-grid/random_under/gnb": "270989cae1bb4e35f63a7c96a31d2a9bccde8d92dc8e99263cd12bd4ca8c579d",
+}
+
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_report_digest_unchanged(key):
@@ -170,8 +246,17 @@ def test_table_covers_every_case():
     assert set(GOLDEN) == ({f"{n}/{m}/{b}" for n in DATASETS for m, b in CASES}
                            | {f"{n}/{m}/{b}/{v}" for v in VARIANTS
                               for n, m, b in VARIANT_CASES})
+    assert set(RESAMPLED) == {f"{n}/{m}/{b}" for n in DATASETS for m, b in CASES}
+
+
+@pytest.mark.parametrize("key", sorted(RESAMPLED))
+def test_resampled_digest_unchanged(key):
+    name, method, base = key.split("/")
+    assert resampled_digest(DATASETS[name](), method=method, base_learner=base) == RESAMPLED[key]
 
 
 if __name__ == "__main__":
-    for key, digest in compute_digests().items():
-        print(f"    {json.dumps(key)}: {json.dumps(digest)},")
+    for table in (compute_digests(), compute_resampled_digests()):
+        for key, digest in table.items():
+            print(f"    {json.dumps(key)}: {json.dumps(digest)},")
+        print()

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 from resmoteboost import (
-    ConfusionMatrix,
     Dataset,
     NEGATIVE,
     POSITIVE,
@@ -45,39 +44,44 @@ class TestConfusion:
     def test_all_correct_positive(self):
         pred = np.full(5, POSITIVE)
         cm = confusion(pred, pred)
-        assert (cm.tp, cm.fp, cm.fn, cm.tn) == (5, 0, 0, 0)
+        assert cm == {"tp": 5, "fp": 0, "fn": 0, "tn": 0}
 
     def test_inverted(self):
         truth = np.array([POSITIVE, NEGATIVE, POSITIVE])
         cm = confusion(-truth, truth)
-        assert cm.tp == 0 and cm.tn == 0
-        assert cm.fp == 1 and cm.fn == 2
+        assert cm["tp"] == 0 and cm["tn"] == 0
+        assert cm["fp"] == 1 and cm["fn"] == 2
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             confusion(np.array([1]), np.array([1, -1]))
 
 
+def counts(tp, fp, fn, tn):
+    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
+
+
 class TestBinaryMetrics:
     def test_hand_case(self):
-        r = binary_metrics(ConfusionMatrix(tp=50, fp=10, fn=5, tn=35))
-        assert r.accuracy == pytest.approx(0.85, abs=1e-4)
-        assert r.precision == pytest.approx(0.8333, abs=1e-4)
-        assert r.recall == pytest.approx(0.9091, abs=1e-4)
-        assert r.f1 == pytest.approx(0.8696, abs=1e-4)
-        assert r.g_means == pytest.approx(0.8704, abs=1e-4)
+        r = binary_metrics(counts(tp=50, fp=10, fn=5, tn=35))["positive_class"]
+        assert r["accuracy"] == pytest.approx(0.85, abs=1e-4)
+        assert r["precision"] == pytest.approx(0.8333, abs=1e-4)
+        assert r["recall"] == pytest.approx(0.9091, abs=1e-4)
+        assert r["f1"] == pytest.approx(0.8696, abs=1e-4)
+        assert r["g_means"] == pytest.approx(0.8704, abs=1e-4)
 
     def test_all_negative_predictor(self):
         # 3:1 dataset, everything predicted negative
-        r = binary_metrics(ConfusionMatrix(tp=0, fp=0, fn=25, tn=75))
-        assert r.recall == 0.0
-        assert r.macro_recall == pytest.approx(0.5)
-        assert "precision" in r.undefined
+        r = binary_metrics(counts(tp=0, fp=0, fn=25, tn=75))
+        assert r["positive_class"]["recall"] == 0.0
+        assert r["macro"]["recall"] == pytest.approx(0.5)
+        assert "precision" in r["undefined"]
 
     def test_perfect_predictor(self):
-        r = binary_metrics(ConfusionMatrix(tp=25, fp=0, fn=0, tn=75))
-        for value in (r.accuracy, r.precision, r.recall, r.f1, r.g_means,
-                      r.macro_precision, r.macro_recall, r.macro_f1):
+        r = binary_metrics(counts(tp=25, fp=0, fn=0, tn=75))
+        pos, macro = r["positive_class"], r["macro"]
+        for value in (pos["accuracy"], pos["precision"], pos["recall"], pos["f1"],
+                      pos["g_means"], macro["precision"], macro["recall"], macro["f1"]):
             assert value == 1.0
 
     def test_f1_harmonic_identity(self):
@@ -86,15 +90,15 @@ class TestBinaryMetrics:
             tp, fp, fn, tn = rng.integers(0, 40, size=4)
             if tp + fp + fn + tn == 0:
                 continue
-            r = binary_metrics(ConfusionMatrix(int(tp), int(fp), int(fn), int(tn)))
-            if r.precision + r.recall > 0:
-                expected = 2 * r.precision * r.recall / (r.precision + r.recall)
-                assert r.f1 == pytest.approx(expected, abs=1e-12)
-            assert r.accuracy == (tp + tn) / (tp + fp + fn + tn)
+            r = binary_metrics(counts(int(tp), int(fp), int(fn), int(tn)))["positive_class"]
+            if r["precision"] + r["recall"] > 0:
+                expected = 2 * r["precision"] * r["recall"] / (r["precision"] + r["recall"])
+                assert r["f1"] == pytest.approx(expected, abs=1e-12)
+            assert r["accuracy"] == (tp + tn) / (tp + fp + fn + tn)
 
     def test_empty_matrix(self):
         with pytest.raises(ValueError):
-            binary_metrics(ConfusionMatrix(0, 0, 0, 0))
+            binary_metrics(counts(0, 0, 0, 0))
 
 
 SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -1e300, math.inf, -math.inf])
@@ -185,13 +189,13 @@ class TestRocAuc:
 class TestReplicationStats:
     def test_constant(self):
         s = replication_stats([0.5] * 10)
-        assert s.mean == 0.5
-        assert s.std_dev == 0.0
+        assert s["mean"] == 0.5
+        assert s["std_dev"] == 0.0
 
     def test_two_values(self):
         s = replication_stats([0.0, 1.0])
-        assert s.mean == 0.5
-        assert s.std_dev == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert s["mean"] == 0.5
+        assert s["std_dev"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(5)
@@ -200,8 +204,8 @@ class TestReplicationStats:
             s = replication_stats(values)
             mean = sum(values) / len(values)
             var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-            assert s.mean == pytest.approx(mean, abs=1e-12)
-            assert s.std_dev == pytest.approx(math.sqrt(var), abs=1e-12)
+            assert s["mean"] == pytest.approx(mean, abs=1e-12)
+            assert s["std_dev"] == pytest.approx(math.sqrt(var), abs=1e-12)
 
     def test_single_value_errors(self):
         with pytest.raises(ValueError):
@@ -274,9 +278,9 @@ class TestOverlapFeatureCount:
     def test_self_comparison_all_ties(self):
         data = make_gaussian_blobs(30, 20, 4, 1.0, 3)
         report = overlap_feature_count(data, data)
-        assert report.count_a_smaller == 0
-        assert report.count_b_smaller == 0
-        assert report.ties == 4
+        assert report["count_a_smaller"] == 0
+        assert report["count_b_smaller"] == 0
+        assert report["ties"] == 4
 
     def test_partition_identity(self):
         rng = np.random.default_rng(9)
@@ -284,13 +288,13 @@ class TestOverlapFeatureCount:
             a = make_gaussian_blobs(40, 20, 5, float(rng.random() * 3), seed)
             b = make_gaussian_blobs(40, 20, 5, float(rng.random() * 3), seed + 100)
             r = overlap_feature_count(a, b)
-            assert r.count_a_smaller + r.count_b_smaller + r.ties == 5
+            assert r["count_a_smaller"] + r["count_b_smaller"] + r["ties"] == 5
 
     def test_separation_direction(self):
         a = make_gaussian_blobs(200, 100, 2, 1.0, 0)
         b = make_gaussian_blobs(200, 100, 2, 4.0, 0)
         r = overlap_feature_count(a, b)
-        assert r.ratios_a[0] < r.ratios_b[0]
+        assert r["ratios_a"][0] < r["ratios_b"][0]
 
     def test_dimension_mismatch(self):
         a = make_gaussian_blobs(20, 10, 2, 1.0, 0)

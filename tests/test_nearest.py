@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from resmoteboost import (ClassPartition, Dataset, KNNLearner, NEGATIVE, POSITIVE,
+from resmoteboost import (ClassPartition, KNNLearner, NEGATIVE, POSITIVE,
                           RandomSource, build_roulette, fit_gnb,
                           make_gaussian_blobs, regularization_accept, smote_interpolate,
                           tomek_links)
@@ -218,13 +218,13 @@ def old_smote_interpolate(seed, minority, seed_index, k_neighbors, rng):
     """The per-call full-scan interpolation the candidate loop used to make:
     (x, neighbor index, alpha)."""
     seed = np.asarray(seed, dtype=float)
-    d = np.linalg.norm(minority.X - seed, axis=1)
+    d = np.linalg.norm(minority - seed, axis=1)
     order = np.argsort(d, kind="stable")
     order = order[order != seed_index]
     neighbors = order[: min(k_neighbors, len(minority) - 1)]
     neighbor_index = int(neighbors[int(rng.integers(0, len(neighbors)))])
     alpha = float(rng.uniform())
-    return seed + alpha * (minority.X[neighbor_index] - seed), neighbor_index, alpha
+    return seed + alpha * (minority[neighbor_index] - seed), neighbor_index, alpha
 
 
 def old_regularization_accept(x, seed, M):
@@ -252,10 +252,10 @@ def oversample_oracle(majority, minority, k, k_neighbors, model, rng, stats):
     while len(accepted) < 2 * k and spins < 50 * max(k, 1):
         seed_index = int(pruning._select(wheel, rng.uniform(size=1))[0])
         spins += 1
-        seed = minority.X[seed_index]
+        seed = minority[seed_index]
         x, neighbor_index, alpha = old_smote_interpolate(seed, minority, seed_index,
                                                          k_neighbors, rng)
-        dist_min, dist_maj, ok = old_regularization_accept(x, seed, majority.X)
+        dist_min, dist_maj, ok = old_regularization_accept(x, seed, majority)
         if ok:
             accepted.append({"x": x, "seed_index": seed_index, "neighbor_index": neighbor_index,
                              "alpha": alpha, "dist_min": dist_min, "dist_maj": dist_maj})
@@ -272,13 +272,13 @@ def oversample_oracle(majority, minority, k, k_neighbors, model, rng, stats):
        seed=st.integers(0, 2**32 - 1))
 def test_smote_interpolate_matches_full_scan(kind, n, d, k_neighbors, m, seed):
     rng = np.random.default_rng(seed)
-    minority = Dataset(make_rows(kind, n, d, rng), np.full(n, POSITIVE))
+    minority = make_rows(kind, n, d, rng)
     seeds = rng.integers(0, n, size=m)
     rng_new, rng_old = RandomSource(seed), RandomSource(seed)
-    X, got_seeds, nb, alphas = smote_interpolate(minority.X, m, k_neighbors, rng_new, seeds)
+    X, got_seeds, nb, alphas = smote_interpolate(minority, m, k_neighbors, rng_new, seeds)
     np.testing.assert_array_equal(got_seeds, seeds)
     for i, s in enumerate(seeds):
-        x, neighbor_index, alpha = old_smote_interpolate(minority.X[s], minority, s,
+        x, neighbor_index, alpha = old_smote_interpolate(minority[s], minority, s,
                                                          k_neighbors, rng_old)
         assert X[i].tobytes() == x.tobytes()
         assert (int(nb[i]), float(alphas[i])) == (neighbor_index, alpha)
@@ -326,9 +326,9 @@ class TestRegularizationAccept:
 
 def old_majority_neighbor_counts(partition, k_neighbors):
     """The full-matrix count loop Borderline-SMOTE and ADASYN used to make."""
-    full = partition.majority.concat(partition.minority)
+    full = np.vstack([partition.majority, partition.minority])
     m_off = len(partition.majority)
-    d = cdist(partition.minority.X, full.X)
+    d = cdist(partition.minority, full)
     counts = np.empty(len(partition.minority), dtype=int)
     for i in range(len(partition.minority)):
         order = np.argsort(d[i], kind="stable")
@@ -347,8 +347,7 @@ class TestMajorityNeighborCounts:
         rng = np.random.default_rng(seed)
         n_min = min(n_min, n_maj)
         X = make_rows(kind, n_maj + n_min, d, rng)   # duplicate rows may span both classes
-        part = ClassPartition(majority=Dataset(X[:n_maj], np.full(n_maj, NEGATIVE)),
-                              minority=Dataset(X[n_maj:], np.full(n_min, POSITIVE)))
+        part = ClassPartition(majority=X[:n_maj], minority=X[n_maj:])
         got = _majority_neighbor_counts(part, k)
         if kind == "grid":       # cdist and norm are both exact on small integers
             np.testing.assert_array_equal(got, old_majority_neighbor_counts(part, k))
@@ -364,20 +363,21 @@ def pools(kind: str, n_maj: int, n_min: int, d: int, seed: int):
     else:
         data = make_gaussian_blobs(n_maj, n_min, d, {"overlap": 0.3, "apart": 3.0}[kind], seed)
         X_maj, X_min = data.X[data.y == NEGATIVE], data.X[data.y == POSITIVE]
-    return (Dataset(X_maj, np.full(n_maj, NEGATIVE)), Dataset(X_min, np.full(n_min, POSITIVE)))
+    return X_maj, X_min
 
 
 def assert_matches_oracle(majority, minority, k, k_neighbors, seed):
     """minority_class_pruning against oversample_oracle: the same rows bit for
     bit, the same stats (provenance records included) and the same generator
     state. Returns the stats."""
-    model = fit_gnb(majority.concat(minority))
+    model = fit_gnb(np.vstack([majority, minority]),
+                    np.repeat([NEGATIVE, POSITIVE], [len(majority), len(minority)]))
     rng_new, rng_old = RandomSource(seed), RandomSource(seed)
     stats_new, stats_old = {}, {}
     rows = minority_class_pruning(majority, minority, k, k_neighbors, model, rng_new, stats_new)
     old = oversample_oracle(majority, minority, k, k_neighbors, model, rng_old, stats_old)
     assert stats_new == stats_old
-    expected = np.array(old).reshape(len(old), minority.dimension)
+    expected = np.array(old).reshape(len(old), minority.shape[1])
     assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
     assert rng_new._gen.bit_generator.state == rng_old._gen.bit_generator.state
     return stats_new
@@ -400,10 +400,8 @@ class TestOversampleOracle:
         X_min = np.array([[0.0, 0.0], [1.0, 0.0]])
         X_maj = np.vstack([[[0.02, 0.0], [0.98, 0.0]],
                            100.0 * np.array([[0, 1], [1, 1], [1, 0], [0, -1], [-1, -1], [-1, 0]])])
-        minority = Dataset(X_min, np.full(2, POSITIVE))
-        majority = Dataset(X_maj, np.full(len(X_maj), NEGATIVE))
         k = 4
-        stats = assert_matches_oracle(majority, minority, k, 5, 0)
+        stats = assert_matches_oracle(X_maj, X_min, k, 5, 0)
         assert stats["spins"] == 50 * k and 0 < stats["accepted"] < 2 * k
 
 
@@ -433,27 +431,27 @@ def test_blocked_tomek_links_match_full_matrix():
     data = make_gaussian_blobs(250, 90, 2, 0.5, 11)      # several blocks
     X = np.round(data.X, 1)                              # tied neighbours
     X_maj, X_min = X[data.y == NEGATIVE], X[data.y == POSITIVE]
-    part = ClassPartition(majority=Dataset(X_maj, np.full(250, NEGATIVE)),
-                          minority=Dataset(X_min, np.full(90, POSITIVE)))
+    part = ClassPartition(majority=X_maj, minority=X_min)
     full_X = np.vstack([X_maj, X_min])
     d = cdist(full_X, full_X)
     np.fill_diagonal(d, np.inf)
     nn = np.argmin(d, axis=1)
     drop = {a for a in range(250) if nn[a] >= 250 and nn[nn[a]] == a}
-    expected = full_X[[i for i in range(len(full_X)) if i not in drop]]
+    expected = [i for i in range(250) if i not in drop]
     assert len(drop) > 0
-    np.testing.assert_array_equal(tomek_links(part).X, expected)
+    np.testing.assert_array_equal(tomek_links(part), expected)
 
 
 def old_tomek_links(partition):
     """The full self-search Tomek links made before it searched only the
     rows a link can involve: every row's nearest other row, then the
-    majority rows whose nearest row is a minority row naming them back."""
-    full = partition.majority.concat(partition.minority)
+    majority rows whose nearest row is a minority row naming them back.
+    Returns the positions of the majority rows kept."""
+    full = np.vstack([partition.majority, partition.minority])
     m_off = len(partition.majority)
-    nn = argsort_oracle(full.X, full.X, 1, exclude=np.arange(len(full)))[:, 0]
+    nn = argsort_oracle(full, full, 1, exclude=np.arange(len(full)))[:, 0]
     drop = [a for a in range(m_off) if nn[a] >= m_off and nn[nn[a]] == a]
-    return full.subset(np.setdiff1d(np.arange(len(full)), drop))
+    return np.setdiff1d(np.arange(m_off), drop)
 
 
 # squares near 1e154 overflow in the norms as in the full search
@@ -465,8 +463,6 @@ def test_tomek_links_match_full_self_search(kind, n_maj, n_min, d, seed):
     rng = np.random.default_rng(seed)
     n_min = min(n_min, n_maj)
     X = make_rows(kind, n_maj + n_min, d, rng)   # duplicate rows may span both classes
-    part = ClassPartition(majority=Dataset(X[:n_maj], np.full(n_maj, NEGATIVE)),
-                          minority=Dataset(X[n_maj:], np.full(n_min, POSITIVE)))
+    part = ClassPartition(majority=X[:n_maj], minority=X[n_maj:])
     got, want = tomek_links(part), old_tomek_links(part)
-    assert got.X.tobytes() == want.X.tobytes()
-    np.testing.assert_array_equal(got.y, want.y)
+    assert got.tobytes() == want.tobytes()

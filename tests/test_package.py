@@ -13,7 +13,6 @@ PUBLIC_NAMES = [
     "BoostConfig",
     "BoostedEnsemble",
     "ClassPartition",
-    "ConfusionMatrix",
     "Dataset",
     "DecisionStump",
     "ExperimentConfig",
@@ -21,12 +20,9 @@ PUBLIC_NAMES = [
     "GaussianNBModel",
     "KNNLearner",
     "METHODS",
-    "MetricReport",
     "NEGATIVE",
-    "OverlapReport",
     "POSITIVE",
     "RandomSource",
-    "ReplicationSummary",
     "RouletteWheel",
     "SplitSpec",
     "adasyn",
@@ -39,7 +35,6 @@ PUBLIC_NAMES = [
     "fit_boosted",
     "fit_gnb",
     "heuristic_tmax",
-    "imbalance_ratio",
     "load_csv",
     "majority_class_pruning",
     "make_gaussian_blobs",

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resmoteboost import (
-    Dataset,
     ExperimentConfig,
     NEGATIVE,
     POSITIVE,
@@ -33,119 +32,121 @@ def blob_partition(n_maj=40, n_min=15, sep=2.0, seed=0):
     return partition_by_class(data)
 
 
-def with_rows(minority, rows):
-    """The minority Dataset grown by synthetic rows."""
-    return minority.concat(Dataset(rows, np.full(len(rows), POSITIVE)))
+def stacked(majority, minority):
+    """The pool (X, y) of the majority rows then the minority rows, the rows
+    and labels double_pruning fits its model on."""
+    return (np.vstack([majority, minority]),
+            np.repeat([NEGATIVE, POSITIVE], [len(majority), len(minority)]))
 
 
 def pruned_majority(majority, pool, k):
     """The majority rows majority_class_pruning keeps, its model fit on `pool`."""
-    return majority.subset(majority_class_pruning(majority, fit_gnb(pool), k))
+    return majority[majority_class_pruning(majority, fit_gnb(*pool), k)]
 
 
 def grown_minority(majority, minority, k, k_neighbors, rng, stats=None):
-    """The minority grown by minority_class_pruning's rows, under the model
-    double_pruning fits."""
-    model = fit_gnb(majority.concat(minority))
-    return with_rows(minority, minority_class_pruning(majority, minority, k, k_neighbors,
-                                                      model, rng, stats))
+    """The minority rows grown by minority_class_pruning's rows, under the
+    model double_pruning fits."""
+    model = fit_gnb(*stacked(majority, minority))
+    return np.vstack([minority, minority_class_pruning(majority, minority, k, k_neighbors,
+                                                       model, rng, stats)])
 
 
 def pruned_classes(majority, minority, k, k_neighbors, rng, stats=None):
-    """double_pruning's (keep, rows) as the new (majority, minority) Datasets."""
+    """double_pruning's (keep, rows) as the new (majority, minority) rows."""
     keep, rows = double_pruning(majority, minority, k, k_neighbors, rng, stats)
-    return majority.subset(keep), with_rows(minority, rows)
+    return majority[keep], np.vstack([minority, rows])
 
 
 class TestMajorityPruning:
     def test_removes_lowest_entropy(self):
         part = blob_partition(seed=3)
-        pool = part.majority.concat(part.minority)
+        pool = stacked(part.majority, part.minority)
         k = 10
         pruned = pruned_majority(part.majority, pool, k)
         assert len(pruned) == len(part.majority) - k
         # independent oracle: full sort of entropies computed from scratch
-        model = fit_gnb(pool)
-        ent = entropy_batch(posterior_batch(model, part.majority.X))
-        removed_set = {tuple(r) for r in part.majority.X} - {tuple(r) for r in pruned.X}
+        model = fit_gnb(*pool)
+        ent = entropy_batch(posterior_batch(model, part.majority))
+        removed_set = {tuple(r) for r in part.majority} - {tuple(r) for r in pruned}
         order = np.argsort(ent, kind="stable")
-        expected_removed = {tuple(part.majority.X[i]) for i in order[:k]}
+        expected_removed = {tuple(part.majority[i]) for i in order[:k]}
         assert removed_set == expected_removed
 
     def test_k_zero_is_identity(self):
         part = blob_partition()
-        pool = part.majority.concat(part.minority)
+        pool = stacked(part.majority, part.minority)
         pruned = pruned_majority(part.majority, pool, 0)
-        np.testing.assert_array_equal(pruned.X, part.majority.X)
+        np.testing.assert_array_equal(pruned, part.majority)
 
     def test_k_too_large_errors(self):
         part = blob_partition(n_maj=5, n_min=3)
-        pool = part.majority.concat(part.minority)
+        pool = stacked(part.majority, part.minority)
         with pytest.raises(ValueError):
             pruned_majority(part.majority, pool, 5)
 
     @pytest.mark.parametrize("k", [-1, 40, 41, 2.5, True, "3"])
     def test_k_outside_the_majority_errors_naming_it(self, k):
         part = blob_partition()
-        model = fit_gnb(part.majority.concat(part.minority))
+        model = fit_gnb(*stacked(part.majority, part.minority))
         with pytest.raises(ValueError, match=rf"below the majority size 40, got {k!r}"):
             majority_class_pruning(part.majority, model, k)
 
     def test_retained_entropy_dominates_removed(self):
         for seed in range(5):
             part = blob_partition(seed=seed, sep=1.0)
-            pool = part.majority.concat(part.minority)
+            pool = stacked(part.majority, part.minority)
             pruned = pruned_majority(part.majority, pool, 12)
-            model = fit_gnb(pool)
-            ent = entropy_batch(posterior_batch(model, part.majority.X))
-            kept_rows = {tuple(r) for r in pruned.X}
-            kept_ent = [e for e, r in zip(ent, part.majority.X) if tuple(r) in kept_rows]
-            removed_ent = [e for e, r in zip(ent, part.majority.X) if tuple(r) not in kept_rows]
+            model = fit_gnb(*pool)
+            ent = entropy_batch(posterior_batch(model, part.majority))
+            kept_rows = {tuple(r) for r in pruned}
+            kept_ent = [e for e, r in zip(ent, part.majority) if tuple(r) in kept_rows]
+            removed_ent = [e for e, r in zip(ent, part.majority) if tuple(r) not in kept_rows]
             assert min(kept_ent) >= max(removed_ent)
 
 
 class TestRoulette:
     def test_manhattan_sums(self):
-        minority = Dataset(np.array([[0.0, 0.0]]), np.array([POSITIVE]))
-        majority = Dataset(np.array([[1.0, 2.0], [4.0, 6.0]]), np.array([NEGATIVE, NEGATIVE]))
+        minority = np.array([[0.0, 0.0]])
+        majority = np.array([[1.0, 2.0], [4.0, 6.0]])
         wheel = build_roulette(minority, majority)
         assert wheel.distances[0] == pytest.approx(13.0)
         assert wheel.fitness[0] == pytest.approx(1.0 / 13.0)
 
     def test_normalization(self):
         # distances chosen so fitness is (1, 3)
-        minority = Dataset(np.array([[0.0], [2.0 / 3.0]]), np.full(2, POSITIVE))
-        majority = Dataset(np.array([[1.0]]), np.array([NEGATIVE]))
+        minority = np.array([[0.0], [2.0 / 3.0]])
+        majority = np.array([[1.0]])
         wheel = build_roulette(minority, majority)
         np.testing.assert_allclose(wheel.probabilities, [0.25, 0.75], atol=1e-12)
         np.testing.assert_allclose(wheel.cumulative, [0.25, 1.0], atol=1e-12)
 
     def test_coincident_point_is_capped(self):
-        minority = Dataset(np.array([[1.0]]), np.array([POSITIVE]))
-        majority = Dataset(np.array([[1.0]]), np.array([NEGATIVE]))
+        minority = np.array([[1.0]])
+        majority = np.array([[1.0]])
         wheel = build_roulette(minority, majority)
         assert np.isfinite(wheel.fitness[0])
         assert wheel.fitness[0] == pytest.approx(1e12)
 
     def test_spin_bucket_rule(self):
         # fitness (1, 4) gives exactly representable p = (0.2, 0.8)
-        minority = Dataset(np.array([[0.0], [0.75]]), np.full(2, POSITIVE))
-        majority = Dataset(np.array([[1.0]]), np.array([NEGATIVE]))
+        minority = np.array([[0.0], [0.75]])
+        majority = np.array([[1.0]])
         wheel = build_roulette(minority, majority)
         # half-open buckets: r = q_0 falls in the second bucket
         draws = pruning._select(wheel, np.array([0.1, wheel.cumulative[0], 0.999]))
         assert list(draws) == [0, 1, 1]
 
     def test_single_seed_wheel(self):
-        minority = Dataset(np.array([[0.0]]), np.array([POSITIVE]))
-        majority = Dataset(np.array([[1.0]]), np.array([NEGATIVE]))
+        minority = np.array([[0.0]])
+        majority = np.array([[1.0]])
         wheel = build_roulette(minority, majority)
         draws = pruning._select(wheel, RandomSource(4).uniform(size=20))
         assert set(draws) == {0}
 
     def test_empirical_frequency(self):
-        minority = Dataset(np.array([[0.0], [2.0 / 3.0]]), np.full(2, POSITIVE))
-        majority = Dataset(np.array([[1.0]]), np.array([NEGATIVE]))
+        minority = np.array([[0.0], [2.0 / 3.0]])
+        majority = np.array([[1.0]])
         wheel = build_roulette(minority, majority)
         draws = pruning._select(wheel, RandomSource(123).uniform(size=10_000))
         freq = np.mean(draws == 1)
@@ -154,30 +155,30 @@ class TestRoulette:
 
 class TestInterpolate:
     def test_midpoint_geometry(self):
-        minority = Dataset(np.array([[0.0, 0.0], [2.0, 4.0]]), np.full(2, POSITIVE))
+        minority = np.array([[0.0, 0.0], [2.0, 4.0]])
 
         class HalfRng:
             def rounds(self, highs, n):   # neighbor slot 0, alpha 0.5
                 return np.tile([0.0, 0.5], (n, 1))
 
-        x, _, nb, _ = smote_interpolate(minority.X, 1, 5, HalfRng(), [0])
+        x, _, nb, _ = smote_interpolate(minority, 1, 5, HalfRng(), [0])
         np.testing.assert_allclose(x[0], [1.0, 2.0])
         assert nb[0] == 1
 
     def test_alpha_zero_returns_seed(self):
-        minority = Dataset(np.array([[0.0, 0.0], [2.0, 4.0]]), np.full(2, POSITIVE))
+        minority = np.array([[0.0, 0.0], [2.0, 4.0]])
 
         class ZeroRng:
             def rounds(self, highs, n):   # neighbor slot 0, alpha 0
                 return np.zeros((n, 2))
 
-        x = smote_interpolate(minority.X, 1, 5, ZeroRng(), [0])[0]
-        np.testing.assert_array_equal(x[0], minority.X[0])
+        x = smote_interpolate(minority, 1, 5, ZeroRng(), [0])[0]
+        np.testing.assert_array_equal(x[0], minority[0])
 
     def test_collinearity_over_many_draws(self):
-        minority = Dataset(np.random.default_rng(0).normal(size=(8, 3)), np.full(8, POSITIVE))
-        x, seeds, nb, _ = smote_interpolate(minority.X, 1000, 3, RandomSource(5))
-        seed, neighbor = minority.X[seeds], minority.X[nb]
+        minority = np.random.default_rng(0).normal(size=(8, 3))
+        x, seeds, nb, _ = smote_interpolate(minority, 1000, 3, RandomSource(5))
+        seed, neighbor = minority[seeds], minority[nb]
         residual = (np.linalg.norm(x - seed, axis=1) + np.linalg.norm(x - neighbor, axis=1)
                     - np.linalg.norm(seed - neighbor, axis=1))
         assert np.all(np.abs(residual) <= 1e-9)
@@ -224,8 +225,8 @@ class TestRegularizationAccept:
 class TestNoiseFilter:
     def test_top_k_retained(self):
         part = blob_partition(seed=2)
-        model = fit_gnb(part.majority.concat(part.minority))
-        candidates = smote_interpolate(part.minority.X, 6, 5, RandomSource(3))[0]
+        model = fit_gnb(*stacked(part.majority, part.minority))
+        candidates = smote_interpolate(part.minority, 6, 5, RandomSource(3))[0]
         order, ent = noise_filter(candidates, model, 3)
         assert len(order) == 3
         # independent oracle: sort entropies computed from scratch
@@ -234,23 +235,23 @@ class TestNoiseFilter:
 
     def test_k_exceeds_candidates(self):
         part = blob_partition()
-        model = fit_gnb(part.majority.concat(part.minority))
-        candidates = smote_interpolate(part.minority.X, 3, 5, RandomSource(1), [0, 0, 0])[0]
+        model = fit_gnb(*stacked(part.majority, part.minority))
+        candidates = smote_interpolate(part.minority, 3, 5, RandomSource(1), [0, 0, 0])[0]
         order, ent = noise_filter(candidates, model, 10)
         assert len(order) == 3
         assert list(ent[order]) == sorted(ent, reverse=True)
 
     def test_empty_errors(self):
         part = blob_partition()
-        model = fit_gnb(part.majority.concat(part.minority))
+        model = fit_gnb(*stacked(part.majority, part.minority))
         with pytest.raises(ValueError):
             noise_filter(np.empty((0, 2)), model, 2)
 
     @pytest.mark.parametrize("k", [-2, 1.5, False])
     def test_bad_k_errors_naming_it(self, k):
         part = blob_partition()
-        model = fit_gnb(part.majority.concat(part.minority))
-        candidates = smote_interpolate(part.minority.X, 12, 5, RandomSource(3))[0]
+        model = fit_gnb(*stacked(part.majority, part.minority))
+        candidates = smote_interpolate(part.minority, 12, 5, RandomSource(3))[0]
         with pytest.raises(ValueError, match=rf"k must be an integer >= 0, got {k!r}"):
             noise_filter(candidates, model, k)
 
@@ -259,7 +260,7 @@ class TestMinorityPruning:
     def test_k_zero_identity(self):
         part = blob_partition()
         out = grown_minority(part.majority, part.minority, 0, 5, RandomSource(0))
-        np.testing.assert_array_equal(out.X, part.minority.X)
+        np.testing.assert_array_equal(out, part.minority)
 
     def test_full_acceptance_on_separated_blobs(self):
         for seed in range(20):
@@ -277,10 +278,10 @@ class TestMinorityPruning:
                              RandomSource(11), stats=stats)
         for record in stats["synthetics"]:
             x = np.array(record["x"])
-            dist_maj = np.linalg.norm(part.majority.X - x, axis=1).min()
-            seed = part.minority.X[record["seed_index"]]
+            dist_maj = np.linalg.norm(part.majority - x, axis=1).min()
+            seed = part.minority[record["seed_index"]]
             assert np.linalg.norm(x - seed) <= dist_maj + 1e-12
-            nb = part.minority.X[record["neighbor_index"]]
+            nb = part.minority[record["neighbor_index"]]
             residual = (np.linalg.norm(x - seed) + np.linalg.norm(x - nb)
                         - np.linalg.norm(seed - nb))
             assert abs(residual) <= 1e-9
@@ -305,12 +306,12 @@ class TestDoublePruning:
 
     def test_inputs_not_mutated_and_deterministic(self):
         part = blob_partition(sep=4.0, seed=6)
-        maj_before = part.majority.X.copy()
+        maj_before = part.majority.copy()
         a = pruned_classes(part.majority, part.minority, 4, 5, RandomSource(42))
-        np.testing.assert_array_equal(part.majority.X, maj_before)
+        np.testing.assert_array_equal(part.majority, maj_before)
         b = pruned_classes(part.majority, part.minority, 4, 5, RandomSource(42))
-        np.testing.assert_array_equal(a[0].X, b[0].X)
-        np.testing.assert_array_equal(a[1].X, b[1].X)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_gap_shrinks_by_2k_under_full_acceptance(self):
         data = make_gaussian_blobs(60, 20, 2, 9.0, 2)
@@ -362,8 +363,8 @@ def duplicated_majority(draw):
     distinct = draw(st.lists(row, min_size=1, max_size=4))
     picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=5, max_size=24))
     minority = draw(st.lists(row, min_size=2, max_size=8))
-    majority = Dataset([distinct[i] for i in picks], np.full(len(picks), NEGATIVE))
-    minority = Dataset(minority, np.full(len(minority), POSITIVE))
+    majority = np.array([distinct[i] for i in picks])
+    minority = np.array(minority)
     return majority, minority, draw(st.integers(1, len(picks) - 1))
 
 
@@ -374,11 +375,11 @@ class TestDuplicateRows:
         majority, minority, k = pools
         keep, _ = double_pruning(majority, minority, k, 5, RandomSource(seed))
         # the removed rows are the k smallest by (entropy, position)
-        ent = entropy_batch(posterior_batch(fit_gnb(majority.concat(minority)), majority.X))
+        ent = entropy_batch(posterior_batch(fit_gnb(*stacked(majority, minority)), majority))
         removed = np.lexsort((np.arange(len(majority)), ent))[:k]
         np.testing.assert_array_equal(keep, np.setdiff1d(np.arange(len(majority)), removed))
         new_majority, _ = pruned_classes(majority, minority, k, 5, RandomSource(seed))
-        np.testing.assert_array_equal(new_majority.X, majority.subset(keep).X)
+        np.testing.assert_array_equal(new_majority, majority[keep])
 
 
 class TestStepSizeValidation:
@@ -403,5 +404,5 @@ class TestStepSizeValidation:
                            RandomSource(0))
         b = pruned_classes(part.majority, part.minority, 3, 2, RandomSource(0))
         assert len(a[0]) == len(part.majority) - 3
-        np.testing.assert_array_equal(a[0].X, b[0].X)
-        np.testing.assert_array_equal(a[1].X, b[1].X)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])

@@ -21,11 +21,6 @@ from resmoteboost.pruning import _select, minority_class_pruning, smote_interpol
 from test_nearest import KINDS, assert_matches_oracle, make_rows, pools
 
 
-def classes(X_min, X_maj):
-    return (Dataset(X_min, np.full(len(X_min), POSITIVE)),
-            Dataset(X_maj, np.full(len(X_maj), NEGATIVE)))
-
-
 def prefix_sums(X, Y):
     """The wheel's sums, one minority row and one majority column at a time."""
     n = len(Y)
@@ -62,7 +57,7 @@ class TestBounds:
         X = np.vstack([make_rows(kind, m, d, rng), Y, near])[rng.permutation(2 * m + n)[:m]]
         for j in range(d):
             X[:, j], Y[:, j] = FEATURE_MAPS[maps[j]](X[:, j]), FEATURE_MAPS[maps[j]](Y[:, j])
-        wheel = build_roulette(*classes(X, Y))
+        wheel = build_roulette(X, Y)
         c = np.sort(Y, axis=0)[n // 2]
         W = n * np.abs(X - c).sum(axis=1) + np.abs(Y - c).sum()
         # twice the summed rounding of the centring, the prefix sums, the column
@@ -77,14 +72,14 @@ class TestBounds:
         # centring keeps the error, and so its bound, small on offset features
         rng = np.random.default_rng(2)
         Y, X = rng.normal(size=(300, 4)) + offset, rng.normal(size=(40, 4)) + offset
-        sums = build_roulette(*classes(X, Y)).distances
+        sums = build_roulette(X, Y).distances
         exact = cdist(X - offset, Y - offset, metric="cityblock").sum(axis=1)
         assert np.all(np.abs(sums - exact) <= 1e-9 * exact)
 
     def test_exact_sums_on_integers(self):
         X = np.array([[0.0, 5.0], [2.0, 2.0], [7.0, -1.0]])
         Y = np.array([[1.0, 2.0], [4.0, 6.0], [2.0, 2.0], [-3.0, 0.0]])
-        sums = build_roulette(*classes(X, Y)).distances
+        sums = build_roulette(X, Y).distances
         np.testing.assert_array_equal(sums, cdist(X, Y, metric="cityblock").sum(axis=1))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -94,7 +89,7 @@ class TestBounds:
         rng = np.random.default_rng(seed)
         Y = np.round(rng.normal(size=(30, 3)), 1) + 0.3
         X = np.vstack([Y[:8], np.round(rng.normal(size=(8, 3)), 1) + 0.3])
-        sums = build_roulette(*classes(X, Y)).distances
+        sums = build_roulette(X, Y).distances
         assert sums.tobytes() == prefix_sums(X, Y).tobytes()
 
     @pytest.mark.parametrize("step", [0.1, 1.0])
@@ -109,7 +104,7 @@ class TestBounds:
         pool = np.vstack([Y[rng.integers(0, len(Y), 10)], fresh])
         X = pool[rng.integers(0, len(pool), 50)]
         X[:, 1] = X[rng.permutation(len(X)), 1]     # rows mixed across columns too
-        sums = build_roulette(*classes(X, Y)).distances
+        sums = build_roulette(X, Y).distances
         assert sums.tobytes() == prefix_sums(X, Y).tobytes()
 
     def test_one_minority_row_adds_its_columns_in_order(self):
@@ -119,7 +114,7 @@ class TestBounds:
         for _ in range(20):
             Y = rng.normal(size=(25, 12)) * 10.0 ** rng.uniform(-4, 4, size=12)
             X = rng.normal(size=(1, 12)) * 10.0 ** rng.uniform(-4, 4, size=12)
-            sums = build_roulette(*classes(X, Y)).distances
+            sums = build_roulette(X, Y).distances
             assert sums.tobytes() == prefix_sums(X, Y).tobytes()
 
 
@@ -131,7 +126,7 @@ class TestWheel:
             rng = np.random.default_rng(seed)
             X_min = rng.normal(size=(12, 2))
             X_min[-1] = 1e200
-            wheel = build_roulette(*classes(X_min, rng.normal(size=(5, 2))))
+            wheel = build_roulette(X_min, rng.normal(size=(5, 2)))
             assert np.all(np.diff(wheel.cumulative) >= 0) and wheel.cumulative.max() == 1.0
 
     # re_smoteboost's naive Bayes fit meets such features first and fails the same way
@@ -140,7 +135,7 @@ class TestWheel:
         data = make_gaussian_blobs(60, 15, 2, 1.0, 0)
         huge = Dataset(data.X * 1e307, data.y)
         with pytest.raises(ValueError, match="L1 distances .* overflowed; rescale"):
-            build_roulette(*classes(huge.X[data.y == POSITIVE], huge.X[data.y == NEGATIVE]))
+            build_roulette(huge.X[data.y == POSITIVE], huge.X[data.y == NEGATIVE])
         with pytest.raises(ValueError, match="overflowed"):
             run_experiment(huge, ExperimentConfig(method="re_smoteboost", replications=1))
 
@@ -152,7 +147,7 @@ class TestSpins:
         majority, minority = pools("overlap", 40, 10, 2, 3)
         wheel = build_roulette(minority, majority)
         a, b = RandomSource(9), RandomSource(9)
-        seeds = smote_interpolate(minority.X, 50, 3, a, lambda r: _select(wheel, r))[1]
+        seeds = smote_interpolate(minority, 50, 3, a, lambda r: _select(wheel, r))[1]
         expected = []
         for _ in range(50):
             expected.append(int(_select(wheel, b.uniform(size=1))[0]))
@@ -172,19 +167,16 @@ class TestUncertifiedRounds:
         # the epsilon clamp decides its fitness
         X_maj = np.zeros((8, 2))
         X_min = np.array([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0], [2.0, 2.0]])
-        minority, majority = classes(X_min, X_maj)
-        assert_matches_oracle(majority, minority, 3, 2, 5)
+        assert_matches_oracle(X_maj, X_min, 3, 2, 5)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tiny_scale_takes_exact_wheel(self, seed):
         # sums near 1e-148 are below the epsilon clamp
         majority, minority = pools("overlap", 40, 12, 3, seed)
-        majority = Dataset(majority.X * 1e-150, majority.y)
-        minority = Dataset(minority.X * 1e-150, minority.y)
-        assert_matches_oracle(majority, minority, 4, 5, seed)
+        assert_matches_oracle(majority * 1e-150, minority * 1e-150, 4, 5, seed)
 
     def test_empty_class_raises_as_build_roulette(self):
-        minority, majority = classes(np.ones((3, 2)), np.empty((0, 2)))
+        minority, majority = np.ones((3, 2)), np.empty((0, 2))
         with pytest.raises(ValueError, match="non-empty"):
             minority_class_pruning(majority, minority, 1, 5, None, RandomSource(0), None)
 

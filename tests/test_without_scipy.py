@@ -17,7 +17,7 @@ import resmoteboost
 SCRIPT = """
 import sys
 sys.modules["scipy"] = None
-from resmoteboost import (Dataset, ExperimentConfig, NEGATIVE, POSITIVE, build_roulette,
+from resmoteboost import (ExperimentConfig, NEGATIVE, POSITIVE, build_roulette,
                           make_gaussian_blobs, run_experiment)
 from resmoteboost.cli import main
 from resmoteboost.experiment import METHODS
@@ -28,7 +28,7 @@ for method in METHODS:
         run_experiment(data, ExperimentConfig(method=method, base_learner=learner,
                                               replications=1, seed=0))
 pos, neg = data.y == POSITIVE, data.y == NEGATIVE
-build_roulette(Dataset(data.X[pos], data.y[pos]), Dataset(data.X[neg], data.y[neg]))
+build_roulette(data.X[pos], data.X[neg])
 csv, report = sys.argv[1:]
 assert main(["gen", "--n-maj", "30", "--n-min", "10", "--seed", "1", "--out", csv]) == 0
 assert main(["run", "--data", csv, "--method", "re_smoteboost", "--replications", "2",
