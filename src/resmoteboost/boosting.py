@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, NEGATIVE, POSITIVE, RandomSource, _integer
+from .data import ClassPartition, Dataset, NEGATIVE, POSITIVE, RandomSource, _integer
 from .entropy import fit_gnb, log_joint
-from .pruning import _NeighbourLists, double_pruning, nearest_rows, smote_interpolate
+from .pruning import _NeighbourLists, double_pruning, smote_interpolate
+from .samplers import random_under
 
 _ALPHA_EPS = 1e-10  # clamp for zero training error
 _GNB_VAR_SMOOTHING = 1.0   # the naive Bayes learner's variance floor, times the largest variance
@@ -168,10 +169,7 @@ class KNNLearner:
     def score(self, X, lists=None):
         """Signed weight sum of each row's neighbours; `lists` (optional)
         carries the neighbour lists of the rows of X from earlier pools."""
-        if lists is None:
-            nn = nearest_rows(self._X, X, self.n_neighbors)
-        else:
-            nn = lists.nearest(self._X, self.pool_keys, self.n_neighbors)
+        nn = (lists or _NeighbourLists(X)).nearest(self._X, self.pool_keys, self.n_neighbors)
         return (self._w[nn] * self._y[nn]).sum(axis=1)
 
     def predict(self, X, lists=None):
@@ -248,15 +246,14 @@ def _rebalance(train: Dataset, maj_idx, min_idx, syn_X, cfg: BoostConfig,
     """
     if cfg.rebalancer == "none":
         return maj_idx, syn_X
+    minority = np.vstack([train.X[min_idx], syn_X])
     if cfg.rebalancer == "random_under":
         n_remove = min(cfg.k, len(maj_idx) - 1)
         if n_remove >= 1:
-            order = rng.permutation(len(maj_idx))
-            maj_idx = maj_idx[np.sort(order[n_remove:])]
+            part = ClassPartition(train.X[maj_idx], minority)
+            maj_idx = maj_idx[random_under(part, n_remove, rng)]
             audit["removed"] = int(n_remove)
         return maj_idx, syn_X
-
-    minority = np.vstack([train.X[min_idx], syn_X])
     if len(minority) < 2:
         return maj_idx, syn_X
     if cfg.rebalancer == "smote":

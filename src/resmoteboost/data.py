@@ -40,31 +40,19 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-class RandomSource:
-    """Seedable uniform random source used by every stochastic operation.
-
-    One documented generator (numpy PCG64) is used everywhere; identical seeds
-    give identical draw sequences within this implementation. `rounds` makes
-    many rounds of scalar `integers(0, h)` and `uniform()` calls in one
-    array call, with the values and the generator state of the scalar calls.
+class RandomSource(np.random.Generator):
+    """Seedable uniform random source used by every stochastic operation:
+    numpy's Generator on PCG64(seed), so identical seeds give identical draw
+    sequences. `rounds` makes many rounds of scalar `integers(0, h)` and
+    `uniform()` calls in one array call, with the values and the generator
+    state of the scalar calls.
     """
 
     def __init__(self, seed: int):
+        if not _integer(seed) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self, size=None):
-        """Uniform draws in [0, 1)."""
-        return self._gen.random(size)
-
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
-    def permutation(self, n):
-        return self._gen.permutation(n)
+        super().__init__(np.random.PCG64(self.seed))
 
     def rounds(self, highs, n: int) -> np.ndarray:
         """An (n, len(highs)) float array: row i holds what round i of scalar
@@ -88,7 +76,7 @@ class RandomSource:
             return np.empty((n, len(highs)))
         if any(h is not None and h < 1 for h in highs):
             raise ValueError("high <= 0")
-        bitgen = self._gen.bit_generator
+        bitgen = self.bit_generator
         saved = bitgen.state
         if all(h is None or h < _HALF for h in highs):
             out = self._replay(highs, n, saved)
@@ -98,7 +86,7 @@ class RandomSource:
         out = np.empty((n, len(highs)))
         for row in out:
             for c, h in enumerate(highs):
-                row[c] = self._gen.random() if h is None else self._gen.integers(0, h)
+                row[c] = self.random() if h is None else self.integers(0, h)
         return out
 
     def _replay(self, highs, n, state):
@@ -118,7 +106,7 @@ class RandomSource:
         fresh = uniform.copy()
         fresh[at[j % 2 == 0]] = True
         word = np.cumsum(fresh) - 1                   # latest word taken at each draw
-        raw = self._gen.bit_generator.random_raw(int(word[-1]) + 1)
+        raw = self.bit_generator.random_raw(int(word[-1]) + 1)
         u = uniform.nonzero()[0]
         flat[u] = (raw[word[u]] >> np.uint64(11)) * 2.0 ** -53
         if len(at) == 0:
@@ -136,11 +124,11 @@ class RandomSource:
             return None
         flat[at] = m >> np.uint64(32)
         last = len(at) - 1 - buffered                 # j of the last bounded draw
-        after = self._gen.bit_generator.state
+        after = self.bit_generator.state
         after["has_uint32"] = int(last >= 0 and last % 2 == 0)
         if last >= 0:
             after["uinteger"] = int(words[-1] >> np.uint64(32))
-        self._gen.bit_generator.state = after
+        self.bit_generator.state = after
         return flat.reshape(n, -1)
 
 

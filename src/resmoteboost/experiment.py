@@ -49,6 +49,7 @@ class ExperimentConfig:
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
         make_learner_factory(self.base_learner)   # raises for an unknown learner
+        RandomSource(self.seed)   # raises for a seed that is not an integer >= 0
         if not _integer(self.replications) or self.replications < 1:
             raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
         if self.t_max != "heuristic" and (not _integer(self.t_max) or self.t_max < 1):
@@ -58,7 +59,7 @@ class ExperimentConfig:
             if value is not None and not _integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         # numpy integers become ints, so the report serialises as JSON
-        for name in ("replications", "t_max", "k", "k_neighbors", "cv_folds"):
+        for name in ("replications", "t_max", "k", "k_neighbors", "cv_folds", "seed"):
             if _integer(getattr(self, name)):
                 setattr(self, name, int(getattr(self, name)))
         if self.k is not None and self.k < 1:
@@ -80,11 +81,12 @@ def default_k(n_majority: int, n_minority: int) -> int:
     return max(1, round((n_majority - n_minority) / 20))
 
 
-def resample_train(train: Dataset, cfg: ExperimentConfig, rng: RandomSource) -> Dataset:
-    """Apply a data-level method to the training set; returns the new train
-    set: the kept majority rows, the minority rows, then the synthetic rows."""
+def resample_train(train: Dataset, cfg: ExperimentConfig, rng: RandomSource):
+    """Apply a data-level method to the training set; returns the rows and
+    labels (X, y) of the new train set: the kept majority rows, the minority
+    rows, then the synthetic rows."""
     if cfg.method == "none":
-        return train
+        return train.X, train.y
     part = partition_by_class(train)
     majority, synthetic = part.majority, np.empty((0, train.dimension))
     gap = len(majority) - len(part.minority)
@@ -97,8 +99,7 @@ def resample_train(train: Dataset, cfg: ExperimentConfig, rng: RandomSource) -> 
     else:
         raise ValueError(f"not a data-level method: {cfg.method}")
     y = np.repeat([NEGATIVE, POSITIVE], [len(majority), len(part.minority) + len(synthetic)])
-    return Dataset(np.vstack([majority, part.minority, synthetic]), y,
-                   feature_names=train.feature_names, source_tag=train.source_tag)
+    return np.vstack([majority, part.minority, synthetic]), y
 
 
 def _boost_config(train: Dataset, cfg: ExperimentConfig) -> BoostConfig:
@@ -132,16 +133,14 @@ def train_and_score(train: Dataset, test: Dataset, cfg: ExperimentConfig,
         info = {"t_max": bcfg.t_max, "k": bcfg.k,
                 "training_log": ensemble.training_log}
     else:
-        resampled = resample_train(train, cfg, rng)
+        X, y = resample_train(train, cfg, rng)
         if capture is not None:
-            capture["X"] = resampled.X
-            capture["y"] = resampled.y
-            capture.setdefault("synthetics", [])
+            capture.update(X=X, y=y, synthetics=[])
         learner = factory()
-        learner.fit(resampled.X, resampled.y, np.full(len(resampled), 1.0 / len(resampled)))
+        learner.fit(X, y, np.full(len(y), 1.0 / len(y)))
         scores = learner.score(test.X)
         info = {"train_size_before_resampling": len(train),
-                "train_size_after_resampling": len(resampled)}
+                "train_size_after_resampling": len(y)}
     if skipped:
         info["resampling_skipped"] = True
     # every model's predict: a zero margin resolves to the negative class
@@ -194,15 +193,6 @@ def run_replication(data: Dataset, cfg: ExperimentConfig, index: int,
                                                     test_idx.tolist()))}
 
 
-def _summary(values, key: str) -> dict:
-    """Mean, sample standard deviation and n over the defined (not None) values."""
-    values = [v for v in values if v is not None]
-    if len(values) >= 2:
-        return replication_stats(values, key)
-    return {"metric": key, "mean": values[0] if values else None, "std_dev": None,
-            "n": len(values)}
-
-
 def run_experiment(data: Dataset, cfg: ExperimentConfig, capture: dict | None = None) -> dict:
     """Full replicated run; returns the report as a JSON-ready dict. When
     `capture` is a dict it receives replication 0's resampled training set,
@@ -228,8 +218,10 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig, capture: dict | None = 
     for variant in ("positive_class", "macro"):
         for name in ("accuracy", "precision", "recall", "f1", "g_means"):
             key = f"{variant}.{name}"
-            summaries[key] = _summary([r["metrics"][variant][name] for r in replications], key)
-    summaries["auc"] = _summary([r["metrics"].get("auc") for r in replications], "auc")
+            summaries[key] = replication_stats([r["metrics"][variant][name]
+                                                for r in replications], key)
+    summaries["auc"] = replication_stats([r["metrics"]["auc"] for r in replications
+                                          if "auc" in r["metrics"]], "auc")
 
     return {
         "config": cfg.to_json(),

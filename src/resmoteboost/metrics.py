@@ -101,12 +101,11 @@ def roc_auc(scores, truth) -> float:
 
 def replication_stats(values, name: str = "") -> dict:
     """The summary {"metric", "mean", "std_dev", "n"} of the metric `name`
-    across replications; the standard deviation is the sample one (ddof=1)."""
+    across replications; the standard deviation is the sample one (ddof=1),
+    None below 2 values, and the mean is None for no values."""
     arr = np.asarray([float(v) for v in values])
-    if len(arr) < 2:
-        raise ValueError("need at least 2 replications")
-    return {"metric": name, "mean": float(arr.mean()), "std_dev": float(arr.std(ddof=1)),
-            "n": len(arr)}
+    return {"metric": name, "mean": float(arr.mean()) if len(arr) else None,
+            "std_dev": float(arr.std(ddof=1)) if len(arr) >= 2 else None, "n": len(arr)}
 
 
 def fisher_ratio(data: Dataset, feature: int) -> float:

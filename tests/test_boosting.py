@@ -1,4 +1,6 @@
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from resmoteboost import (
     BoostedEnsemble,
     Dataset,
     DecisionStump,
+    ExperimentConfig,
     NEGATIVE,
     POSITIVE,
     RandomSource,
@@ -16,8 +19,9 @@ from resmoteboost import (
     heuristic_tmax,
     make_gaussian_blobs,
     make_learner_factory,
+    run_experiment,
 )
-from resmoteboost import boosting, pruning
+from resmoteboost import boosting, pruning, samplers
 from resmoteboost.boosting import KNNLearner, fit_stump_params
 
 
@@ -306,3 +310,26 @@ class TestBoostConfigValidation:
         ens = fit_boosted(make_gaussian_blobs(30, 10, 2, 6.0, 1), cfg, DecisionStump,
                           RandomSource(0))
         assert [e["n_majority"] for e in ens.training_log] == [28, 26, 24]
+
+
+def test_rusboost_runs_random_under(monkeypatch):
+    """random_under is wrapped in every resmoteboost module that holds it; a
+    rusboost run calls it once per round that removed majority rows."""
+    calls, original = [], samplers.random_under
+
+    @functools.wraps(original)
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "resmoteboost" or name.startswith("resmoteboost.")) and \
+                getattr(module, "random_under", None) is original:
+            monkeypatch.setattr(module, "random_under", counted)
+    report = run_experiment(make_gaussian_blobs(80, 20, 2, 1.5, 0),
+                            ExperimentConfig(method="rusboost", k=4, t_max=4,
+                                             replications=2, seed=0))
+    removed = [entry["rebalance"]["removed"] for rep in report["replications"]
+               for entry in rep["model"]["training_log"] if "removed" in entry["rebalance"]]
+    assert removed
+    assert calls == removed

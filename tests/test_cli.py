@@ -44,6 +44,12 @@ class TestGen:
                         "--out", str(tmp_path / "g.csv")]) == 0
         assert capsys.readouterr().out.endswith("(IR 0.25)\n")
 
+    def test_negative_seed_errors(self, tmp_path, capsys):
+        code = run_cli(["gen", "--n-maj", "10", "--n-min", "5", "--seed", "-1",
+                        "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
     def test_bad_count_errors(self, tmp_path, capsys):
         code = run_cli(["gen", "--n-maj", "0", "--n-min", "5",
                         "--out", str(tmp_path / "x.csv")])
@@ -171,6 +177,15 @@ class TestRun:
         dumped = load_csv(dump, "label", "pos")
         assert len(dumped) == fold0["model"]["train_size_after_resampling"]
         assert held_out.isdisjoint(tuple(row) for row in dumped.X)
+
+    @pytest.mark.parametrize("cv", [[], ["--cv", "3"]])
+    def test_negative_seed_errors_before_any_replication(self, blob_csv, tmp_path, capsys, cv):
+        out = tmp_path / "o.json"
+        code = run_cli(["run", "--data", str(blob_csv), "--replications", "2", "--seed", "-1",
+                        *cv, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
 
     def test_cv_out_of_range_errors(self, blob_csv, tmp_path, capsys):
         for folds in ("1", "21"):    # the fixture has 20 minority rows

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,20 @@ class TestStratifiedSplit:
         y = np.array([NEGATIVE, NEGATIVE, POSITIVE])
         with pytest.raises(ValueError):
             split(Dataset(X, y), SplitSpec(), RandomSource(0))
+
+
+class TestRandomSource:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        message = f"seed must be an integer >= 0, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RandomSource(seed)
+
+    def test_draws_are_numpy_generator_draws(self):
+        rng, gen = RandomSource(5), np.random.Generator(np.random.PCG64(5))
+        assert rng.uniform() == gen.random()
+        np.testing.assert_array_equal(rng.uniform(size=4), gen.random(4))
+        assert rng.bit_generator.state == gen.bit_generator.state
 
 
 class TestBlobs:

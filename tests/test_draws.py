@@ -45,7 +45,7 @@ def primed_pair(seed, pre):
 
 
 def state(rng):
-    return rng._gen.bit_generator.state
+    return rng.bit_generator.state
 
 
 class TestRounds:

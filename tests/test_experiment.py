@@ -55,6 +55,18 @@ def test_bad_learner_rounds_and_replications_rejected_at_construction(kwargs, me
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_bad_seed_rejected_at_construction(seed):
+    message = f"seed must be an integer >= 0, got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(seed=seed)
+
+
+def test_numpy_integer_seed_becomes_int():
+    cfg = ExperimentConfig(seed=np.uint64(7))
+    assert type(cfg.seed) is int and cfg.seed == 7
+
+
 def test_numpy_integer_options_accepted():
     data = make_gaussian_blobs(30, 10, 2, 1.5, 0)
     cfg = ExperimentConfig(method="rusboost", t_max=np.int64(2), replications=np.int64(2),
@@ -310,8 +322,8 @@ def test_test_split_never_reaches_training(method, learner, cv, n_maj, n_min, da
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("learner", sorted(LEARNER_TYPES))
 def test_one_replication_builds_datasets_only_at_the_edges(monkeypatch, method, learner):
-    # the split's two subsets and the one resampled training set; every step
-    # in between passes arrays
+    # the split's two subsets only; every step after the split, resampling
+    # included, passes arrays
     built, init = [], Dataset.__init__
 
     def counted(self, *args, **kwargs):
@@ -321,4 +333,4 @@ def test_one_replication_builds_datasets_only_at_the_edges(monkeypatch, method, 
     data = make_gaussian_blobs(48, 12, 2, 1.5, 3)
     monkeypatch.setattr(Dataset, "__init__", counted)
     run_replication(data, ExperimentConfig(method=method, base_learner=learner, seed=5), 0)
-    assert len(built) <= 3, built
+    assert len(built) == 2, built

@@ -207,9 +207,12 @@ class TestReplicationStats:
             assert s["mean"] == pytest.approx(mean, abs=1e-12)
             assert s["std_dev"] == pytest.approx(math.sqrt(var), abs=1e-12)
 
-    def test_single_value_errors(self):
-        with pytest.raises(ValueError):
-            replication_stats([0.5])
+    def test_fewer_than_two_values(self):
+        # a standard deviation needs two values, a mean one
+        assert replication_stats([0.5], "f1") == {"metric": "f1", "mean": 0.5, "std_dev": None,
+                                                  "n": 1}
+        assert replication_stats([], "auc") == {"metric": "auc", "mean": None, "std_dev": None,
+                                                "n": 0}
 
 
 def two_class_feature(mu_neg, mu_pos, var_neg, var_pos, n=200, seed=0):

@@ -282,7 +282,7 @@ def test_smote_interpolate_matches_full_scan(kind, n, d, k_neighbors, m, seed):
                                                          k_neighbors, rng_old)
         assert X[i].tobytes() == x.tobytes()
         assert (int(nb[i]), float(alphas[i])) == (neighbor_index, alpha)
-    assert rng_new._gen.bit_generator.state == rng_old._gen.bit_generator.state
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
 class TestRegularizationAccept:
@@ -379,7 +379,7 @@ def assert_matches_oracle(majority, minority, k, k_neighbors, seed):
     assert stats_new == stats_old
     expected = np.array(old).reshape(len(old), minority.shape[1])
     assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
-    assert rng_new._gen.bit_generator.state == rng_old._gen.bit_generator.state
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
     return stats_new
 
 

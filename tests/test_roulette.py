@@ -154,7 +154,7 @@ class TestSpins:
             b.integers(0, 3)
             b.uniform()
         assert list(seeds) == expected
-        assert a._gen.bit_generator.state == b._gen.bit_generator.state
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestUncertifiedRounds:

@@ -78,8 +78,8 @@ class TestSmote:
         # the resampled set holds the majority rows, then the minority rows
         # and the synthetic rows
         train = make_gaussian_blobs(40, 15, 2, 2.0, 0)
-        out = resample_train(train, ExperimentConfig(method="smote"), RandomSource(1))
-        assert np.all(out.y[40:] == POSITIVE)
+        y = resample_train(train, ExperimentConfig(method="smote"), RandomSource(1))[1]
+        assert np.all(y[40:] == POSITIVE)
 
     def test_small_minority_errors(self):
         minority = np.array([[0.0]])
@@ -193,8 +193,8 @@ class TestTomekLinks:
 
     def test_minority_untouched(self):
         train = make_gaussian_blobs(40, 15, 2, 0.5, 3)
-        out = resample_train(train, ExperimentConfig(method="tomek_links"), RandomSource(0))
-        out_min = out.X[out.y == POSITIVE]
+        X, y = resample_train(train, ExperimentConfig(method="tomek_links"), RandomSource(0))
+        out_min = X[y == POSITIVE]
         np.testing.assert_array_equal(out_min, partition_by_class(train).minority)
 
 
