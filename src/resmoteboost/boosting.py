@@ -30,11 +30,6 @@ _ALPHA_EPS = 1e-10  # clamp for zero training error
 _GNB_VAR_SMOOTHING = 1.0   # the naive Bayes learner's variance floor, times the largest variance
 
 
-class BoostingFailed(RuntimeError):
-    """No base learner of some round reached weighted error < 0.5 in either
-    attempt, and no earlier round kept one: there is no ensemble."""
-
-
 def heuristic_tmax(n_majority: int, n_minority: int, k: int) -> int:
     """Iteration count that closes the class gap at 2k per round: at least 1."""
     if k < 1:
@@ -251,14 +246,16 @@ def _rebalance(train: Dataset, maj_idx, min_idx, syn_X, cfg: BoostConfig,
     """
     if cfg.rebalancer == "none":
         return maj_idx, syn_X
-    minority = np.vstack([train.X[min_idx], syn_X])
     if cfg.rebalancer == "random_under":
         n_remove = min(cfg.k, len(maj_idx) - 1)
         if n_remove >= 1:
-            part = ClassPartition(train.X[maj_idx], minority)
+            # this rebalancer adds no synthetic rows
+            part = ClassPartition(train.X[maj_idx], train.X[min_idx])
             maj_idx = maj_idx[random_under(part, n_remove, rng)]
             audit["removed"] = int(n_remove)
         return maj_idx, syn_X
+
+    minority = np.vstack([train.X[min_idx], syn_X])
     if len(minority) < 2:
         return maj_idx, syn_X
     if cfg.rebalancer == "smote":
@@ -288,8 +285,6 @@ def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSo
     "y") and the provenance records of its synthetic rows ("synthetics"),
     one per row in row order; only the double-pruning rebalancer writes
     records, so the list is empty for the other rebalancers.
-
-    Raises BoostingFailed when round 0 keeps no learner.
     """
     if not (train.n_positive and train.n_negative):
         raise ValueError("fit_boosted requires both classes present")
@@ -361,7 +356,7 @@ def fit_boosted(train: Dataset, cfg: BoostConfig, learner_factory, rng: RandomSo
             capture.update(X=X_fit, y=y_fit, synthetics=records)
 
     if not learners:   # the loop stopped at round t, on that round's pool
-        raise BoostingFailed(f"boosting failed: no base learner achieved error < 0.5 in round {t} "
-                             f"(k={cfg.k}, pool of {len(maj_idx)} majority and "
-                             f"{len(min_idx) + n_syn} minority rows)")
+        raise RuntimeError(f"boosting failed: no base learner achieved error < 0.5 in round {t} "
+                           f"(k={cfg.k}, pool of {len(maj_idx)} majority and "
+                           f"{len(min_idx) + n_syn} minority rows)")
     return BoostedEnsemble(learners=learners, alphas=alphas, training_log=log)

@@ -6,6 +6,7 @@ majority class is negative, encoded -1.
 
 from __future__ import annotations
 
+import copyreg
 import csv
 import math
 import numbers
@@ -130,6 +131,10 @@ class RandomSource(np.random.Generator):
             after["uinteger"] = int(words[-1] >> np.uint64(32))
         self.bit_generator.state = after
         return flat.reshape(n, -1)
+
+
+# copy and pickle rebuild a RandomSource at its state, not numpy's Generator
+copyreg.pickle(RandomSource, lambda s: (RandomSource, (s.seed,), s.bit_generator.state))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boosting import (BoostConfig, BoostingFailed, fit_boosted, heuristic_tmax,
-                       make_learner_factory)
+from .boosting import BoostConfig, fit_boosted, heuristic_tmax, make_learner_factory
 from .data import (Dataset, NEGATIVE, POSITIVE, RandomSource, SplitSpec, _integer, _n_train,
                    mix_seed, partition_by_class, split_indices)
 from .metrics import binary_metrics, confusion, replication_stats, roc_auc
@@ -197,13 +196,7 @@ def run_replication(data: Dataset, cfg: ExperimentConfig, index: int,
 def run_experiment(data: Dataset, cfg: ExperimentConfig, capture: dict | None = None) -> dict:
     """Full replicated run; returns the report as a JSON-ready dict. When
     `capture` is a dict it receives replication 0's resampled training set,
-    as run_replication writes it.
-
-    A replication whose boosting keeps no learner (BoostingFailed) has no
-    metrics: it goes to the report's "failed_replications", with its seed
-    and the failure, a key present only when some replication failed. The
-    summaries cover the other replications; with none left, each summary
-    has n = 0 and mean None."""
+    as run_replication writes it."""
     if data.n_positive > data.n_negative:
         raise ValueError(f"the positive class ({data.n_positive} rows) outnumbers the negative "
                          f"class ({data.n_negative} rows); the positive label (--positive-label "
@@ -217,12 +210,8 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig, capture: dict | None = 
         raise ValueError(f"test_fraction={cfg.test_fraction} rounds to no test rows for "
                          f"{data.n_negative} negative and {data.n_positive} positive rows")
     t0 = time.perf_counter()
-    replications, failed = [], []
-    for i in range(cfg.cv_folds or cfg.replications):
-        try:
-            replications.append(run_replication(data, cfg, i, capture=None if i else capture))
-        except BoostingFailed as err:
-            failed.append({"replication": i, "seed": mix_seed(cfg.seed, i), "failure": str(err)})
+    replications = [run_replication(data, cfg, i, capture=None if i else capture)
+                    for i in range(cfg.cv_folds or cfg.replications)]
     elapsed = time.perf_counter() - t0
 
     summaries = {}
@@ -234,12 +223,9 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig, capture: dict | None = 
     summaries["auc"] = replication_stats([r["metrics"]["auc"] for r in replications
                                           if "auc" in r["metrics"]], "auc")
 
-    report = {
+    return {
         "config": cfg.to_json(),
         "replications": replications,
         "summaries": summaries,
         "timing": {"total_seconds": elapsed},
     }
-    if failed:
-        report["failed_replications"] = failed
-    return report

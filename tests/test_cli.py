@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from resmoteboost import POSITIVE, load_csv, make_gaussian_blobs, mix_seed, save_csv
+from resmoteboost import POSITIVE, load_csv, mix_seed
 from resmoteboost.cli import main
 
 
@@ -270,37 +270,6 @@ class TestRun:
         assert err == ("error: boosting failed: no base learner achieved error < 0.5 in round 0 "
                        f"(k={k}, pool of {n_maj} majority and {n_min} minority rows)\n")
         assert not out.exists()
-
-    def run_overlapping(self, tmp_path, seed, *extra):
-        # 1-d blobs on which some replications' naive Bayes learners never
-        # beat error 0.5 in round 0
-        data_csv, out = tmp_path / "overlap.csv", tmp_path / "o.json"
-        save_csv(make_gaussian_blobs(6, 3, 1, 1.0, 25899), data_csv)
-        code = run_cli(["run", "--data", str(data_csv), "--method", "smoteboost", "--base", "gnb",
-                        "--replications", "3", "--seed", str(seed), "--out", str(out), *extra])
-        return code, out
-
-    def test_failed_replications_are_listed_and_counted_on_stderr(self, tmp_path, capsys):
-        code, out = self.run_overlapping(tmp_path, 1)
-        err = capsys.readouterr().err
-        assert code == 0
-        assert err == (f"warning: 2 of 3 replications failed and are left out of the summaries; "
-                       f"{out} lists them under failed_replications\n")
-        report = json.loads(out.read_text())
-        assert [r["replication"] for r in report["replications"]] == [0]
-        assert [f["replication"] for f in report["failed_replications"]] == [1, 2]
-        assert report["failed_replications"][0]["failure"].startswith("boosting failed: ")
-        rows = (tmp_path / "o_replications.csv").read_text().splitlines()
-        assert [row.split(",")[0] for row in rows[1:]] == ["0"]
-
-    def test_dump_resampled_of_a_failed_replication_zero_errors(self, tmp_path, capsys):
-        dump = tmp_path / "pool.csv"
-        code, out = self.run_overlapping(tmp_path, 5, "--dump-resampled", str(dump))
-        assert code == 1
-        assert capsys.readouterr().err.startswith(
-            "error: --dump-resampled: replication 0 has no resampled training set: "
-            "boosting failed: no base learner achieved error < 0.5 in round 0 ")
-        assert not out.exists() and not dump.exists()
 
     @pytest.mark.parametrize("method", ["re_smoteboost", "smote"])
     @pytest.mark.parametrize("extra, message", [

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -200,6 +202,16 @@ class TestRandomSource:
         assert rng.uniform() == gen.random()
         np.testing.assert_array_equal(rng.uniform(size=4), gen.random(4))
         assert rng.bit_generator.state == gen.bit_generator.state
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                        lambda r: pickle.loads(pickle.dumps(r))])
+    def test_copy_is_a_random_source_that_continues_the_stream(self, copier):
+        rng = RandomSource(7)
+        rng.integers(0, 5)                    # leaves a buffered 32-bit half
+        twin = copier(rng)
+        assert type(twin) is RandomSource and twin.seed == 7
+        np.testing.assert_array_equal(twin.rounds([3, None], 4), rng.rounds([3, None], 4))
+        assert twin.bit_generator.state == rng.bit_generator.state
 
 
 class TestBlobs:

@@ -261,9 +261,9 @@ def _full_search(self, P, keys, k):
 
 
 def _outcome(data, cfg):
-    """The report without its timing (a replication whose k-NN learners
-    never reach error < 0.5 is listed in its failed_replications), or the
-    message of the RuntimeError the run raises."""
+    """The report without its timing, or the message of the RuntimeError a
+    replication raises when no k-NN learner of its first round reaches
+    error < 0.5."""
     try:
         report = run_experiment(data, cfg)
     except RuntimeError as err:
@@ -276,7 +276,7 @@ def _outcome(data, cfg):
 @given(method=st.sampled_from(["re_smoteboost", "smoteboost", "rusboost", "plain_boost"]),
        grid=st.booleans(), fresh=st.booleans(), n_maj=st.integers(25, 60),
        n_min=st.integers(4, 15), data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32))
-# overlapping blobs on which replication 0 fails in round 0: both searches must fail alike
+# overlapping blobs on which boosting fails in round 0: both searches must fail alike
 @example(method="re_smoteboost", grid=False, fresh=False, n_maj=25, n_min=15, data_seed=12848,
          seed=3_777_161_487)
 def test_reports_equal_a_full_search_every_round(method, grid, fresh, n_maj, n_min, data_seed,
