@@ -28,7 +28,8 @@ from .data import NEGATIVE, POSITIVE, RandomSource, _integer
 from .entropy import entropy_batch, fit_gnb, posterior_batch
 
 _BLOCK = 1 << 14            # distance-matrix entries computed at a time
-_DISTANCE_BLOCK = 1 << 16   # the same, for the nearest distance alone
+_FEW_BLOCK = 1 << 16        # the same, for _nearest_few
+_FEW_MIN = 1 << 13          # entries below which _nearest_few calls _nearest
 _CANDIDATES_PER_SYNTHETIC = 2   # accepted candidates gathered per retained synthetic
 _SPINS_PER_SYNTHETIC = 50       # roulette spin cap per retained synthetic
 _MIN_DISTANCE = 1e-12           # guard for zero roulette distances
@@ -144,7 +145,9 @@ def _screen_bound(kth, sq_p, sq_q_max, b2=0.0):
     screened value, and the columns of the exact top k are needed. For
     admission, kth is b2 - |p|^2 for a distance bound b with b2 = b * b,
     the slack's scale adds b2, and the columns whose np.linalg.norm
-    distance is strictly below b are needed.
+    distance is strictly below b are needed. So in a row whose (k + 1)-th
+    smallest value is above the bound, the k smallest are the exact top k
+    (_nearest_few), and any other row keeps the pairs within the bound.
 
     A screened value, whether the product's d terms get |q|^2 added after
     or take it as a (d + 1)-th term, is within about (3d + 2) * 2^-53 *
@@ -158,8 +161,9 @@ def _screen_bound(kth, sq_p, sq_q_max, b2=0.0):
     most b2 - |p|^2 plus (3d + 10) * 2^-53 * (|p|^2 + |q|^2 + b2). The
     slack below exceeds both for any d up to about 9 * 10^5. Where |p|^2,
     some |q|^2, b2, the bound or the bound plus |p|^2 is not finite, the
-    row is full: squares overflow near 1e154. Call it with overflow and
-    invalid-value warnings off.
+    row is full: squares overflow near 1e154. _nearest_few also marks full
+    a row with a NaN or infinite value among those below its k-th. Call it
+    with overflow and invalid-value warnings off.
     """
     bound = kth + (1e-9 * (sq_p + sq_q_max + b2) + 1e-300)
     return bound, ~np.isfinite(bound + sq_p)
@@ -221,51 +225,81 @@ def _nearest(Q, P, k: int, exclude=None):
     return out, dist
 
 
-def _nearest_distance(Q, P):
-    """_nearest(Q, P, 1)[1][:, 0] for non-empty Q, bit for bit: the
-    np.linalg.norm distance from each row of P to its nearest row of Q.
+def _nearest_few(Q, P, k: int, exclude=None):
+    """_nearest(Q, P, k, exclude), bit for bit, for a few neighbours k.
 
-    In blocks of _DISTANCE_BLOCK entries, one matrix product of the block
-    with a ones column appended and -2 Q^T with |q|^2 appended as a row
-    gives the screened values |q|^2 - 2 p.q, and _screen_bound the bound
-    from each row's least one, at column j0. A row whose runner-up, its
-    least value off j0, is above the bound has Q[j0] as its only candidate
-    and takes np.linalg.norm(Q[j0] - p). The other rows, and those marked
-    full, keep every pair within the bound, get the exact distance of
-    each, and take the least of their own. A NaN screened value is the
-    argmin and makes its row full; a NaN distance then counts only where
-    all of the row's are NaN, as NaN sorts last in _nearest.
+    In blocks of _FEW_BLOCK entries, one matrix product of the block with a
+    ones column appended and -2 Q^T with |q|^2 appended as a row gives the
+    screened values |q|^2 - 2 p.q, the excluded column set to +inf. k argmin
+    passes take each row's k least values, in order, setting each to +inf
+    once taken; a last pass takes the row's runner-up, its (k + 1)-th least
+    value, and _screen_bound the bound from the k-th. A row whose runner-up
+    is above the bound has exactly those k columns within it: they are its
+    answer, with their np.linalg.norm distances, ordered by (distance,
+    position). The other rows (near ties, duplicates, and the rows marked
+    full, by the bound or by a NaN or infinite value among the k taken) get
+    the k values back and take _kept_pairs as _nearest does. A search of
+    fewer than _FEW_MIN pairs is _nearest's: the passes' fixed cost would
+    exceed what they save.
     """
     Q = np.asarray(Q, dtype=float)
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    n, d = Q.shape
-    out = np.empty(len(P))
+    (n, d), m = Q.shape, len(P)
+    if m * n < _FEW_MIN:
+        return _nearest(Q, P, k, exclude)
+    k = max(min(k, n - (exclude is not None)), 0)
+    if k == 0:
+        return np.empty((m, 0), dtype=np.intp), np.empty((m, 0))
     right = np.empty((d + 1, n))
     np.multiply(Q.T, -2.0, out=right[:d])
     np.einsum("ij,ij->i", Q, Q, out=right[d])
     sq_q_max = right[d].max()
-    rows = max(1, _DISTANCE_BLOCK // n)
-    block = np.ones((min(rows, len(P)), d + 1))
-    for lo in range(0, len(P), rows):
-        B = P[lo:lo + rows]
-        r = np.arange(len(B))
-        left = block[:len(B)]
-        left[:, :d] = B
-        sq_p = np.einsum("ij,ij->i", B, B)
-        with np.errstate(over="ignore", invalid="ignore"):   # overflow falls back
-            s = left @ right
-            j0 = s.argmin(axis=1)
-            least = s[r, j0]
-            bound, full = _screen_bound(least, sq_p, sq_q_max)
-            s[r, j0] = np.inf
-            several = (s.min(axis=1) <= bound) | full   # candidates besides j0
-            s[r, j0] = least
-        dist = np.linalg.norm(Q[j0] - B, axis=1)
-        if several.any():
-            i, _, dk = _kept_pairs(s[several], bound[several], full[several], B[several], Q)
-            dist[several] = np.fmin.reduceat(dk, np.searchsorted(i, np.arange(several.sum())))
-        out[lo:lo + rows] = dist
-    return out
+    left = np.ones((m, d + 1))
+    left[:, :d] = P
+    sq_p = np.einsum("ij,ij->i", P, P)
+    rows = max(1, _FEW_BLOCK // n)
+    at = np.arange(0, min(rows, m) * n, n)   # the flat offset of each block row
+    F = np.empty((k, m), dtype=np.intp)      # flat offsets of each row's k least, in order
+    V = np.empty((k + 1, m))                 # their values, then the runner-up's
+    ties = []
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow falls back below
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            a = at[:hi - lo]
+            s = left[lo:hi] @ right
+            flat = s.reshape(-1)
+            if exclude is not None:
+                ex = np.asarray(exclude[lo:hi])
+                flat[a + ex] = np.inf
+            for t in range(k):
+                f = np.add(a, s.argmin(axis=1), out=F[t, lo:hi])
+                flat.take(f, out=V[t, lo:hi])
+                flat[f] = np.inf
+            s.min(axis=1, out=V[k, lo:hi])
+            bound, full = _screen_bound(V[k - 1, lo:hi], sq_p[lo:hi], sq_q_max)
+            if k > 1:   # a NaN (the argmin) or overflow taken before the k-th
+                full |= ~np.isfinite(V[:k - 1, lo:hi]).all(axis=0)
+            few = np.flatnonzero((V[k, lo:hi] <= bound) | full)
+            if len(few):
+                g = few + lo
+                flat[F[:, g]] = V[:k, g]
+                i, j, dk = _kept_pairs(s[few], bound[few], full[few], P[g], Q)
+                if exclude is not None:   # an excluded pair is kept only in a full row
+                    mine = j != ex[few][i]
+                    i, j, dk = i[mine], j[mine], dk[mine]
+                ties.append((g, i, j, dk))
+    J = F.T % n
+    D = np.linalg.norm((Q[J] - P[:, None, :]).reshape(-1, d), axis=1).reshape(m, k)
+    if k > 1:
+        order = np.lexsort((J, D))
+        order += np.arange(0, m * k, k)[:, None]
+        J, D = J.ravel()[order], D.ravel()[order]
+    for g, i, j, dk in ties:   # as _nearest orders its kept pairs
+        order = np.lexsort((dk, i))
+        counts = np.bincount(i, minlength=len(g))
+        pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        J[g], D[g] = j[pick], dk[pick]
+    return J, D
 
 
 class _NeighbourLists:
@@ -389,7 +423,10 @@ def smote_interpolate(X, n: int, k_neighbors: int, rng: RandomSource, seeds=None
     seed position s, the neighbor slot and alpha ~ U[0, 1); all n rounds
     come from one rng.rounds call. `seeds` holds the n seed positions (no
     seed draw), or is None to draw each s uniformly from the rows of X, or
-    a function mapping an array of uniform() draws to seed positions.
+    a function mapping an array of uniform() draws to seed positions. Given
+    or returned seeds must be n integer positions in [0, len(X)), else
+    ValueError. The neighbors come from _nearest_few over the distinct
+    seeds, each without its own row.
 
     Returns (points, seeds, neighbor positions, alphas).
     """
@@ -400,29 +437,43 @@ def smote_interpolate(X, n: int, k_neighbors: int, rng: RandomSource, seeds=None
     if len(X) < 2:
         raise ValueError("need at least 2 minority samples to interpolate")
     n_slots = min(k_neighbors, len(X) - 1)
-    if seeds is None or callable(seeds):
-        draws = rng.rounds([len(X) if seeds is None else None, n_slots, None], n)
-        first, draws = draws[:, 0], draws[:, 1:]
-        seeds = first if seeds is None else seeds(first)
+    if seeds is None:
+        draws = rng.rounds([len(X), n_slots, None], n)
+        seeds, draws = draws[:, 0].astype(np.intp), draws[:, 1:]
     else:
-        draws = rng.rounds([n_slots, None], n)
-    seeds, slots = np.asarray(seeds).astype(np.intp), draws[:, 0].astype(np.intp)
-    alphas = draws[:, 1]
+        if callable(seeds):
+            draws = rng.rounds([None, n_slots, None], n)
+            seeds, draws = seeds(draws[:, 0]), draws[:, 1:]
+        else:
+            draws = rng.rounds([n_slots, None], n)
+        seeds = np.asarray(seeds)
+        if seeds.shape != (n,) or (n and not (np.issubdtype(seeds.dtype, np.integer)
+                                              and 0 <= seeds.min() and seeds.max() < len(X))):
+            raise ValueError(f"seeds must be {n} integer positions in [0, {len(X)}), "
+                             f"got {seeds.dtype} values of shape {seeds.shape}")
+        seeds = seeds.astype(np.intp, copy=False)
+    slots, alphas = draws[:, 0].astype(np.intp), draws[:, 1]
     unique, inverse = np.unique(seeds, return_inverse=True)
-    nb = nearest_rows(X, X[unique], int(slots.max(initial=-1)) + 1, exclude=unique)[inverse, slots]
+    k = int(slots.max(initial=-1)) + 1
+    nb = _nearest_few(X, X[unique], k, exclude=unique)[0][inverse, slots]
     S = X[seeds]
     return S + alphas[:, None] * (X[nb] - S), seeds, nb, alphas
 
 
 def regularization_accept(candidates, majority, seeds):
     """(dist_min, dist_maj, accepted) for the candidate rows against the
-    majority rows, each candidate with its seed row: the Euclidean distance
-    to the seed, to the nearest majority row, and the regularization test
-    dist_min <= dist_maj (a synthetic sits at least as close to its own seed
-    as to the majority class)."""
+    majority rows, each candidate with its seed row (`seeds` has the shape
+    of `candidates`): the Euclidean distance to the seed, to the nearest
+    majority row, and the regularization test dist_min <= dist_maj (a
+    synthetic sits at least as close to its own seed as to the majority
+    class). dist_maj is column 0 of _nearest_few's distances, the
+    np.linalg.norm distance of the full scan."""
     if len(majority) == 0:
         raise ValueError("majority must be non-empty")
-    dist_maj = _nearest_distance(majority, candidates)
+    if np.shape(candidates) != np.shape(seeds):
+        raise ValueError(f"candidates and seeds must have the same shape, got "
+                         f"{np.shape(candidates)} and {np.shape(seeds)}")
+    dist_maj = _nearest_few(majority, candidates, 1)[1][:, 0]
     # per row, the arithmetic of the 1-D np.linalg.norm, sqrt(v.dot(v)), which
     # a stack of 1 x d by d x 1 products shares; the 2-D form's can differ in
     # the last bit

@@ -19,9 +19,20 @@ from resmoteboost import (ClassPartition, KNNLearner, NEGATIVE, POSITIVE,
                           tomek_links)
 from resmoteboost.entropy import entropy_batch, posterior_batch
 from resmoteboost import pruning
-from resmoteboost.pruning import (_nearest, _nearest_distance, minority_class_pruning,
-                                  nearest_rows)
+from resmoteboost.pruning import _nearest, _nearest_few, minority_class_pruning, nearest_rows
 from resmoteboost.samplers import _majority_neighbor_counts
+
+
+DEFAULT_FEW_MIN = pruning._FEW_MIN
+
+
+@pytest.fixture(autouse=True, scope="module")
+def few_kernel_on_any_size():
+    """_nearest_few hands inputs of fewer than _FEW_MIN entries to _nearest;
+    in this module it runs its own passes on every input, however small."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pruning, "_FEW_MIN", 0)
+        yield
 
 
 def argsort_oracle(Q, P, k, exclude=None):
@@ -105,7 +116,104 @@ class TestNearestRows:
         assert nearest_rows(Q[:1], [[1.0]], 3, exclude=[0]).shape == (1, 0)
 
 
+def full_scan(Q, P, k, exclude=None):
+    """(positions, distances) of the full scan: argsort_oracle's positions and
+    the np.linalg.norm distance of each."""
+    width = max(min(k, len(Q) - (exclude is not None)), 0)
+    positions = argsort_oracle(Q, P, k, exclude) if len(P) else np.empty((0, width), np.intp)
+    distances = [np.linalg.norm(Q[idx] - p, axis=1) for idx, p in zip(positions, P)]
+    return positions, np.array(distances).reshape(positions.shape)
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        b = np.asarray(b, dtype=a.dtype)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def with_nan_rows(P, rng):
+    """P with a NaN in one coordinate of some of its rows."""
+    P = P.copy()
+    rows = rng.random(len(P)) < 0.3
+    P[rows, rng.integers(0, P.shape[1], rows.sum())] = np.nan
+    return P
+
+
+class TestNearestFew:
+    """_nearest_few answers each row from its k least screened values when the
+    runner-up is outside the bound, and from _kept_pairs otherwise; either
+    way, positions and distances are _nearest's and the full scan's bits."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["unit", "grid", "duplicates", "jitter", "near-overflow"])
+    @pytest.mark.parametrize("k", [1, 2, 5, 30])
+    @pytest.mark.parametrize("excluded", [False, True])
+    def test_matches_nearest_and_full_scan(self, kind, k, excluded):
+        rng = np.random.default_rng(k)
+        Q = make_rows(kind, 40, 3, rng)
+        if excluded:
+            exclude = rng.integers(0, 40, size=25)
+            P = Q[exclude]
+        else:
+            exclude = None
+            P = np.vstack([make_rows(kind, 10, 3, rng), Q[:10], Q[10:15] + 1e-3])
+        P = with_nan_rows(P, rng)
+        got = _nearest_few(Q, P, k, exclude)
+        assert_same_bits(got, _nearest(Q, P, k, exclude))
+        assert_same_bits(got, full_scan(Q, P, k, exclude))
+
+    # squares near 1e154 overflow in the oracle's norms as in the full scan
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(KINDS), n=st.integers(1, 40), d=st.integers(1, 5),
+           m=st.integers(0, 12), k=st.integers(1, 45), excluded=st.booleans(),
+           nan=st.booleans(), budget=st.sampled_from([1, 40, 1 << 16]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_matches_nearest(self, kind, n, d, m, k, excluded, nan, budget, seed):
+        rng = np.random.default_rng(seed)
+        Q = make_rows(kind, n, d, rng)
+        if excluded:
+            exclude = rng.integers(0, n, size=m)
+            P = Q[exclude]
+        else:
+            exclude = None
+            near = Q[rng.integers(0, n, m)] + 1e-3 * make_rows(kind, m, d, rng)
+            P = np.vstack([make_rows(kind, m, d, rng), Q, near])[rng.permutation(2 * m + n)[:m]]
+        if nan:
+            P = with_nan_rows(P, rng)
+        with pytest.MonkeyPatch.context() as patch:   # blocks of budget // n rows
+            patch.setattr(pruning, "_FEW_BLOCK", budget)
+            got = _nearest_few(Q, P, k, exclude)
+        assert_same_bits(got, _nearest(Q, P, k, exclude))
+        assert_same_bits(got, full_scan(Q, P, k, exclude))
+
+    def test_default_size_threshold(self, monkeypatch):
+        # below the default threshold _nearest answers; above it, the passes
+        rng = np.random.default_rng(5)
+        Q = rng.integers(0, 4, size=(3000, 3)).astype(float)
+        monkeypatch.setattr(pruning, "_FEW_MIN", DEFAULT_FEW_MIN)
+        for m in (1, 200):
+            exclude = np.arange(m)
+            assert_same_bits(_nearest_few(Q, Q[:m], 7, exclude), _nearest(Q, Q[:m], 7, exclude))
+            assert_same_bits(_nearest_few(Q[:20], Q[:m], 3), full_scan(Q[:20], Q[:m], 3))
+
+    def test_small_and_empty_inputs(self):
+        Q = np.array([[0.0], [2.0], [1.0], [1.0]])
+        assert_same_bits(_nearest_few(Q, [1.0], 3), ([[2, 3, 0]], [[0.0, 0.0, 1.0]]))
+        positions, distances = _nearest_few(Q, [[1.0]], 9, exclude=[2])
+        assert positions.tolist() == [[3, 0, 1]] and distances.tolist() == [[0.0, 1.0, 1.0]]
+        for P, k, exclude, shape in [(np.empty((0, 1)), 2, None, (0, 2)),
+                                     ([[1.0]], 3, None, (1, 3)),
+                                     (Q[:1], 3, [0], (1, 0))]:
+            got = _nearest_few(Q[:1] if exclude else Q[:3], P, k, exclude)
+            assert got[0].shape == got[1].shape == shape
+            assert got[0].dtype == np.intp
+
+
 class TestNearestDistance:
+    """The acceptance test's nearest-majority distance: column 0 of
+    _nearest_few(Q, P, 1)'s distances."""
+
     # squares near 1e154 overflow in the norms as in the full scan
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=300, deadline=None)
@@ -117,39 +225,41 @@ class TestNearestDistance:
         # fresh rows, rows of Q (exact ties on duplicates), and rows of Q moved slightly
         near = Q[rng.integers(0, n, m)] + 1e-3 * make_rows(kind, m, d, rng)
         P = np.vstack([make_rows(kind, m, d, rng), Q, near])[rng.permutation(2 * m + n)[:m]]
-        got = _nearest_distance(Q, P)
+        got = _nearest_few(Q, P, 1)[1][:, 0]
         assert got.tobytes() == _nearest(Q, P, 1)[1][:, 0].tobytes()
         full_scan = [np.linalg.norm(Q - p, axis=1).min() for p in P]
         assert got.tobytes() == np.array(full_scan).tobytes()
 
     def test_one_row_and_empty_inputs(self):
         Q = np.array([[3.0, 4.0]])
-        assert _nearest_distance(Q, np.zeros((2, 2))).tolist() == [5.0, 5.0]
-        assert _nearest_distance(Q, np.empty((0, 2))).shape == (0,)
-        assert _nearest_distance(Q, [0.0, 0.0]).tolist() == [5.0]
+        assert _nearest_few(Q, np.zeros((2, 2)), 1)[1][:, 0].tolist() == [5.0, 5.0]
+        assert _nearest_few(Q, np.empty((0, 2)), 1)[1][:, 0].shape == (0,)
+        assert _nearest_few(Q, [0.0, 0.0], 1)[1][:, 0].tolist() == [5.0]
 
     def test_nan_distance_sorts_last(self):
         # as in _nearest, a NaN distance is the answer only where every one is
         Q = np.array([[np.nan, 0.0], [3.0, 4.0]])
         P = np.array([[0.0, 0.0], [np.nan, 1.0]])
-        got = _nearest_distance(Q, P)
+        got = _nearest_few(Q, P, 1)[1][:, 0]
         assert got.tobytes() == _nearest(Q, P, 1)[1][:, 0].tobytes()
         assert got[0] == 5.0 and np.isnan(got[1])
 
 
 class TestRunnerUpScreen:
-    """_nearest_distance takes a row's distance to its least screened value
-    alone unless the runner-up is within the slack or the row is marked
-    full; then it takes the least exact distance over the kept pairs. One
-    block may mix both paths, and each must give _nearest's bits."""
+    """_nearest_few takes a row's k least screened values alone unless the
+    runner-up is within the slack or the row is marked full; those rows take
+    the exact distances of their kept pairs first, and then one norm over
+    every row's k least gives the others theirs. One block may mix both
+    paths, and each must give _nearest's bits."""
 
     # a line of rows 10 apart; row 8 repeats row 2, row 9 is row 5 moved
     # by 1e-12, inside the screen's slack
     BASE = 10.0 * np.arange(8)[:, None] * np.array([1.0, 0.5, -0.25])
     Q = np.vstack([BASE, BASE[2], BASE[5] + 1e-12])
 
-    def norm_inputs(self, monkeypatch, Q, P):
-        """(_nearest_distance(Q, P), the shape of each array it takes norms of)."""
+    def norm_inputs(self, monkeypatch, Q, P, k=1):
+        """(_nearest_few(Q, P, k)'s distances, the shape of each array it
+        takes norms of)."""
         shapes, norm = [], np.linalg.norm
 
         def recording_norm(x, *args, **kwargs):
@@ -158,24 +268,29 @@ class TestRunnerUpScreen:
 
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "norm", recording_norm)
-            got = _nearest_distance(Q, P)
-        assert got.tobytes() == _nearest(Q, P, 1)[1][:, 0].tobytes()
-        full_scan = [np.linalg.norm(Q - p, axis=1).min() for p in P]
-        assert got.tobytes() == np.array(full_scan).tobytes()
-        return got, shapes
+            got = _nearest_few(Q, P, k)
+        assert_same_bits(got, _nearest(Q, P, k))
+        assert_same_bits(got, full_scan(Q, P, k))
+        return got[1], shapes
 
     def test_ties_and_near_ties_take_the_kept_pairs(self, monkeypatch):
         # rows 1 and 3 have two candidates each (an exact duplicate, a
         # runner-up within the slack); the others have one
         P = self.BASE[[0, 2, 4, 5, 7]] + 0.1
         got, shapes = self.norm_inputs(monkeypatch, self.Q, P)
-        assert shapes == [(5, 3), (4, 3)]
-        assert got[1] == np.linalg.norm(self.BASE[2] + 0.1 - self.BASE[2])
+        assert shapes == [(4, 3), (5, 3)]
+        assert got[1, 0] == np.linalg.norm(self.BASE[2] + 0.1 - self.BASE[2])
+        # with k = 2 the tied pairs are the two least: only row 3's runner-up,
+        # row 5 moved by 1e-12, is screened with them
+        got, shapes = self.norm_inputs(monkeypatch, self.Q, P, 2)
+        assert shapes == [(3, 3), (10, 3)]
 
     def test_lone_candidates_skip_the_kept_pairs(self, monkeypatch):
         P = self.BASE[[0, 4, 7]] - 0.2
         _, shapes = self.norm_inputs(monkeypatch, self.Q, P)
         assert shapes == [(3, 3)]
+        _, shapes = self.norm_inputs(monkeypatch, self.Q, P, 2)
+        assert shapes == [(6, 3)]
 
     # squares near 1e154 overflow in the norms as in the full scan
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -185,12 +300,15 @@ class TestRunnerUpScreen:
         P = np.vstack([self.BASE[0] + 0.1, [np.nan, 0.0, 1.0], self.BASE[2] + 0.1,
                        [3e154, -2e154, 1.0], self.BASE[6] + 0.1])
         got, shapes = self.norm_inputs(monkeypatch, self.Q, P)
-        assert shapes == [(5, 3), (2 * len(self.Q) + 2, 3)]
-        assert np.isnan(got[1]) and got[3] == np.inf and np.all(np.isfinite(got[[0, 2, 4]]))
+        assert shapes == [(2 * len(self.Q) + 2, 3), (5, 3)]
+        assert np.isnan(got[1, 0]) and got[3, 0] == np.inf and np.all(np.isfinite(got[[0, 2, 4]]))
+        # a NaN is the first of the k values taken, and its row is full
+        got, shapes = self.norm_inputs(monkeypatch, self.Q, P[[1]], 3)
+        assert shapes == [(len(self.Q), 3), (3, 3)] and np.isnan(got).all()
         # an overflowing majority row makes every row full
         Q = np.vstack([self.Q, [1e155, 0.0, 0.0]])
         _, shapes = self.norm_inputs(monkeypatch, Q, P)
-        assert shapes == [(5, 3), (5 * len(Q), 3)]
+        assert shapes == [(5 * len(Q), 3), (5, 3)]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -206,8 +324,9 @@ def test_blocks_match_one_full_block(monkeypatch, kind, rows):
 
     def answers(budget):
         monkeypatch.setattr(pruning, "_BLOCK", budget)
-        monkeypatch.setattr(pruning, "_DISTANCE_BLOCK", budget)
-        return [*_nearest(Q, P, 1), *_nearest(Q, P, 5, exclude), _nearest_distance(Q, P)]
+        monkeypatch.setattr(pruning, "_FEW_BLOCK", budget)
+        return [*_nearest(Q, P, 1), *_nearest(Q, P, 5, exclude),
+                *_nearest_few(Q, P, 1), *_nearest_few(Q, P, 5, exclude)]
 
     full = answers(len(Q) * len(P))
     for got, want in zip(answers(len(Q) * rows), full, strict=True):

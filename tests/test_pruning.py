@@ -203,7 +203,35 @@ class TestInterpolate:
                 smote(blob_partition(), 5, value, RandomSource(0))
 
 
+    @pytest.mark.parametrize("seeds", [
+        [0], [-1, 0, 1, 2, 3], [0, 1, 2.7, 3, 4], [0, 1, 2, 3, 10], np.ones(5, dtype=bool),
+        [[0, 1, 2, 3, 4]],
+    ], ids=["one-seed", "negative", "float", "past-the-end", "bool", "2-d"])
+    def test_bad_seeds_errors_naming_them(self, seeds):
+        X = np.random.default_rng(0).normal(size=(10, 2))
+        with pytest.raises(ValueError, match=r"seeds must be 5 integer positions in \[0, 10\)"):
+            smote_interpolate(X, 5, 3, RandomSource(0), seeds)
+        # a function's seed positions are checked the same way
+        with pytest.raises(ValueError, match=r"seeds must be 5 integer positions in \[0, 10\)"):
+            smote_interpolate(X, 5, 3, RandomSource(0), lambda r: np.asarray(seeds))
+
+    def test_good_seeds_pass(self):
+        X = np.random.default_rng(0).normal(size=(10, 2))
+        for seeds in ([0, 9, 9, 3, 1], np.arange(5, dtype=np.uint8), np.array([2] * 5, np.int32)):
+            got = smote_interpolate(X, 5, 3, RandomSource(0), seeds)[1]
+            assert got.dtype == np.intp and got.tolist() == np.asarray(seeds).tolist()
+        assert len(smote_interpolate(X, 0, 3, RandomSource(0), [])[0]) == 0
+
+
 class TestRegularizationAccept:
+    def test_seeds_must_match_the_candidates(self):
+        # one seed row is not broadcast against every candidate
+        C = np.random.default_rng(0).normal(size=(5, 2))
+        M = np.array([[3.0, 0.0], [0.0, 3.0]])
+        for seeds in (np.zeros((1, 2)), np.zeros(2), np.zeros((5, 3)), np.zeros((6, 2))):
+            with pytest.raises(ValueError, match="candidates and seeds must have the same shape"):
+                regularization_accept(C, M, seeds)
+
     def accept(self, x, seed, M):
         dist_min, dist_maj, ok = regularization_accept(np.array([x], float), np.array(M, float),
                                                        np.array([seed], float))
