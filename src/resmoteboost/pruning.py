@@ -261,12 +261,15 @@ def _nearest_few(Q, P, k: int, exclude=None):
     at = np.arange(0, min(rows, m) * n, n)   # the flat offset of each block row
     F = np.empty((k, m), dtype=np.intp)      # flat offsets of each row's k least, in order
     V = np.empty((k + 1, m))                 # their values, then the runner-up's
+    # every block's product goes into one buffer: a fresh block-sized
+    # array has its pages faulted in again on each block
+    buf = np.empty((min(rows, m), n))
     ties = []
     with np.errstate(over="ignore", invalid="ignore"):   # overflow falls back below
         for lo in range(0, m, rows):
             hi = min(lo + rows, m)
             a = at[:hi - lo]
-            s = left[lo:hi] @ right
+            s = np.matmul(left[lo:hi], right, out=buf[:hi - lo])
             flat = s.reshape(-1)
             if exclude is not None:
                 ex = np.asarray(exclude[lo:hi])
@@ -277,8 +280,8 @@ def _nearest_few(Q, P, k: int, exclude=None):
                 flat[f] = np.inf
             s.min(axis=1, out=V[k, lo:hi])
             bound, full = _screen_bound(V[k - 1, lo:hi], sq_p[lo:hi], sq_q_max)
-            if k > 1:   # a NaN (the argmin) or overflow taken before the k-th
-                full |= ~np.isfinite(V[:k - 1, lo:hi]).all(axis=0)
+            # a NaN (argmin takes it first) or overflow taken before the k-th
+            full |= ~np.isfinite(V[:k - 1, lo:hi]).all(axis=0)
             few = np.flatnonzero((V[k, lo:hi] <= bound) | full)
             if len(few):
                 g = few + lo

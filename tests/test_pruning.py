@@ -202,7 +202,6 @@ class TestInterpolate:
             with pytest.raises(ValueError, match=message):
                 smote(blob_partition(), 5, value, RandomSource(0))
 
-
     @pytest.mark.parametrize("seeds", [
         [0], [-1, 0, 1, 2, 3], [0, 1, 2.7, 3, 4], [0, 1, 2, 3, 10], np.ones(5, dtype=bool),
         [[0, 1, 2, 3, 4]],
