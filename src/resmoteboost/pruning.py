@@ -282,13 +282,13 @@ def _nearest_few(Q, P, k: int, exclude=None):
             bound, full = _screen_bound(V[k - 1, lo:hi], sq_p[lo:hi], sq_q_max)
             # a NaN (argmin takes it first) or overflow taken before the k-th
             full |= ~np.isfinite(V[:k - 1, lo:hi]).all(axis=0)
-            few = np.flatnonzero((V[k, lo:hi] <= bound) | full)
-            if len(few):
-                g = few + lo
+            tied = np.flatnonzero((V[k, lo:hi] <= bound) | full)
+            if len(tied):
+                g = tied + lo
                 flat[F[:, g]] = V[:k, g]
-                i, j, dk = _kept_pairs(s[few], bound[few], full[few], P[g], Q)
+                i, j, dk = _kept_pairs(s[tied], bound[tied], full[tied], P[g], Q)
                 if exclude is not None:   # an excluded pair is kept only in a full row
-                    mine = j != ex[few][i]
+                    mine = j != ex[tied][i]
                     i, j, dk = i[mine], j[mine], dk[mine]
                 ties.append((g, i, j, dk))
     J = F.T % n
